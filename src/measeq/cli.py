@@ -316,8 +316,10 @@ def _run_dist(cfg: RunConfig):
         threshold = cfg.tolerance if cfg.tolerance is not None else 0.02
         kind = p.get("kind", "interval")
         if kind == "interval":
-            cells = int(p.get("cells", 10))
-            grid = di.unit_interval_grid(cells)
+            try:
+                grid = di.unit_interval_grid(int(p.get("cells", 10)))
+            except ValueError as e:
+                raise ConfigError(f"bad cells: {e}") from e
             rep = di.interval_independence_stat(
                 v, w, grid=(grid, grid), verdict_threshold=threshold
             )

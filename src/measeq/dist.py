@@ -9,6 +9,7 @@ are surfaced through stability diagnostics, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -222,18 +223,21 @@ def statistical_independence_stat(
     label = TEST_FAMILY_VERSION if family is None else f"custom[{len(fam)}]"
     gv = [(name, _apply(g, v.values)) for name, g in fam]
     g1w = [(name, _apply(g, w.values)) for name, g in fam]
+    means_w = [float(b.mean()) for _, b in g1w]
     table = []
     for name_g, a in gv:
         ea = float(a.mean())
-        for name_g1, b in g1w:
-            dev = abs(ea * float(b.mean()) - float(np.mean(a * b)))
+        for (name_g1, b), eb in zip(g1w, means_w):
+            dev = abs(ea * eb - float(np.mean(a * b)))
             table.append((name_g, name_g1, dev))
     stat = max(dev for _, _, dev in table)
     return IndependenceReport(stat, label, verdict_threshold, tuple(table))
 
 
 def unit_interval_grid(k: int = 10) -> tuple[tuple[float, float], ...]:
-    """k equal half-open cells covering [0, 1)."""
+    """k >= 1 equal half-open cells covering [0, 1)."""
+    if k < 1:
+        raise ValueError(f"need at least one cell, got {k}")
     return tuple((i / k, (i + 1) / k) for i in range(k))
 
 
@@ -246,34 +250,67 @@ def _default_grid(w: SequenceWindow, k: int = 10) -> tuple[tuple[float, float], 
     return tuple((lo + i * (top - lo) / k, lo + (i + 1) * (top - lo) / k) for i in range(k))
 
 
+def cell_index(values: np.ndarray, cells: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Index of the half-open cell [lo, hi) holding each value, len(cells) if none does.
+
+    Cells must be pairwise disjoint (ValueError otherwise); an empty cell
+    (lo >= hi) holds nothing.  Membership uses the float comparisons
+    lo <= x < hi, so values on an edge belong to the cell they start.
+    """
+    bounds = np.array(cells, dtype=float).reshape(-1, 2)
+    live = np.flatnonzero(bounds[:, 0] < bounds[:, 1])
+    live = live[np.argsort(bounds[live, 0], kind="stable")]
+    # a leading cell [-inf, -inf) holds nothing, so every search lands on a cell
+    lo = np.concatenate(([-np.inf], bounds[live, 0]))
+    hi = np.concatenate(([-np.inf], bounds[live, 1]))
+    if (hi[:-1] > lo[1:]).any():
+        raise ValueError("cells overlap; they must be disjoint half-open intervals")
+    label = np.concatenate(([len(bounds)], live))
+    pos = np.searchsorted(lo, values, side="right") - 1
+    return np.where(values < hi[pos], label[pos], len(bounds))
+
+
+def cell_deviations(cv: np.ndarray, cw: np.ndarray, kv: int, kw: int) -> np.ndarray:
+    """kv x kw table of |freq(v in I, w in I1) - freq(v in I) freq(w in I1)|.
+
+    cv, cw are `cell_index` results over kv and kw cells (index kv, kw = no cell).
+    """
+    n = cv.size
+    counts = np.bincount(cv * (kw + 1) + cw, minlength=(kv + 1) * (kw + 1))
+    counts = counts.reshape(kv + 1, kw + 1)
+    fv = counts.sum(axis=1)[:kv] / n
+    fw = counts.sum(axis=0)[:kw] / n
+    return np.abs(counts[:kv, :kw] / n - np.outer(fv, fw))
+
+
 def interval_independence_stat(
     v: SequenceWindow,
     w: SequenceWindow,
     grid: tuple[Sequence[tuple[float, float]], Sequence[tuple[float, float]]] | None = None,
     verdict_threshold: float = 0.02,
 ) -> IndependenceReport:
-    """Max over interval pairs (I, I1) of |freq(v in I, w in I1) - freq(v in I) freq(w in I1)|."""
+    """Max over interval pairs (I, I1) of |freq(v in I, w in I1) - freq(v in I) freq(w in I1)|.
+
+    Each grid is a sequence of pairwise disjoint half-open cells [lo, hi);
+    overlapping cells raise ValueError.  The default grid of a window is
+    `unit_interval_grid(10)` if it lies in [0, 1), else 10 equal cells over its
+    bounds with the top edge raised by 1e-9 of the span.
+    """
     if len(v) != len(w):
         raise WindowRangeError(f"length mismatch: {len(v)} vs {len(w)}")
     if grid is None:
         grid_v, grid_w = _default_grid(v), _default_grid(w)
     else:
         grid_v, grid_w = grid
-    masks_v = [(iv, (v.values >= iv[0]) & (v.values < iv[1])) for iv in grid_v]
-    masks_w = [(iw, (w.values >= iw[0]) & (w.values < iw[1])) for iw in grid_w]
-    n = len(v)
-    table = []
-    for iv, mv in masks_v:
-        fv = int(mv.sum()) / n
-        for iw, mw in masks_w:
-            fw = int(mw.sum()) / n
-            joint = np.count_nonzero(mv & mw) / n
-            table.append(
-                (f"[{iv[0]:g},{iv[1]:g})", f"[{iw[0]:g},{iw[1]:g})", abs(joint - fv * fw))
-            )
-    stat = max(dev for _, _, dev in table)
+    dev = cell_deviations(
+        cell_index(v.values, grid_v), cell_index(w.values, grid_w), len(grid_v), len(grid_w)
+    ).ravel().tolist()
+    table = tuple(
+        (f"[{iv[0]:g},{iv[1]:g})", f"[{iw[0]:g},{iw[1]:g})", d)
+        for (iv, iw), d in zip(product(grid_v, grid_w), dev)
+    )
     return IndependenceReport(
-        stat, f"intervals {len(grid_v)}x{len(grid_w)}", verdict_threshold, tuple(table)
+        max(dev), f"intervals {len(grid_v)}x{len(grid_w)}", verdict_threshold, table
     )
 
 
@@ -326,8 +363,11 @@ def sup_norm(w: SequenceWindow) -> float:
 
 
 def edf_sup_distance(F: EDF, G: EDF) -> float:
-    """sup over x of |F(x) - G(x)| for two step distributions."""
+    """sup over x of |F(x) - G(x)| for two step distributions.
+
+    Both are constant between consecutive points of the union of their
+    breakpoints, so the left limits there cover every value of F - G (the
+    right limit at one point is the left limit at the next, 0 after the last).
+    """
     xs = np.union1d(F.breakpoints, G.breakpoints)
-    left = np.abs(F(xs) - G(xs)).max()
-    right = np.abs(F.mass_upto(xs) - G.mass_upto(xs)).max()
-    return float(max(left, right))
+    return float(np.abs(F(xs) - G(xs)).max())

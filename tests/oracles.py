@@ -56,16 +56,23 @@ def statistical_independence_oracle(v, w, family):
     return worst
 
 
-def interval_independence_oracle(v, w, grid_v, grid_w):
+def interval_independence_table_oracle(v, w, grid_v, grid_w):
+    # one membership mask per cell and one joint count per cell pair, in grid order
     n = len(v)
-    worst = 0.0
+    masks_w = [[c <= y < d for y in w] for c, d in grid_w]
+    table = []
     for a, b in grid_v:
-        for c, d in grid_w:
-            fv = sum(1 for x in v if a <= x < b) / n
-            fw = sum(1 for y in w if c <= y < d) / n
-            joint = sum(1 for x, y in zip(v, w) if a <= x < b and c <= y < d) / n
-            worst = max(worst, abs(joint - fv * fw))
-    return worst
+        mv = [a <= x < b for x in v]
+        fv = sum(mv) / n
+        for mw in masks_w:
+            fw = sum(mw) / n
+            joint = sum(1 for p, q in zip(mv, mw) if p and q) / n
+            table.append(abs(joint - fv * fw))
+    return table
+
+
+def interval_independence_oracle(v, w, grid_v, grid_w):
+    return max(interval_independence_table_oracle(v, w, grid_v, grid_w))
 
 
 def region_oracle(seq_values, boxes):

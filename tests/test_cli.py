@@ -168,6 +168,15 @@ class TestExitCodes:
     def test_unknown_pred_is_config_error(self, capsys):
         assert main(["density", "--pred", "cubes"]) == 2
 
+    @pytest.mark.parametrize("cells", ["0", "-3"])
+    def test_nonpositive_cells_is_config_error(self, capsys, cells):
+        argv = ["dist", "indep", "--seq", '{"kind":"vdc"}', "--seq2", '{"kind":"vdc"}',
+                "--n", "100", "--cells", cells]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: bad cells: need at least one cell, got {cells}"
+        ]
+
     def test_unknown_verb_exits_two(self):
         with pytest.raises(SystemExit) as e:
             main(["dist", "nonsense"])

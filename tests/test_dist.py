@@ -10,6 +10,7 @@ from measeq.density import APSet
 from measeq.dist import (
     EDF,
     DEFAULT_TEST_FAMILY,
+    _default_grid,
     chebyshev_check,
     convolve_edf,
     correlation,
@@ -40,6 +41,18 @@ windows = st.lists(
 ).map(SequenceWindow)
 # values on a 0.1 grid, so they repeat within a window and across two windows
 coarse_windows = windows.map(lambda w: SequenceWindow(np.round(w.values, 1)))
+
+
+@st.composite
+def cell_grids(draw):
+    """A unit-interval grid, or shuffled disjoint cells with gaps plus empty cells."""
+    if draw(st.booleans()):
+        return unit_interval_grid(draw(st.integers(1, 12)))
+    edge = st.floats(-2, 2, allow_nan=False)
+    edges = sorted(draw(st.lists(edge, min_size=2, max_size=10, unique=True)))
+    cells = [(a, b) for a, b in zip(edges, edges[1:]) if draw(st.booleans())]
+    cells += draw(st.lists(st.tuples(edge, edge).map(lambda c: (max(c), min(c))), max_size=2))
+    return draw(st.permutations(cells or [(edges[0], edges[-1])]))
 
 
 def vdc_window(base: int, N: int) -> SequenceWindow:
@@ -257,6 +270,41 @@ class TestIndependenceStats:
         v = vdc_window(2, 10_000)
         rep = interval_independence_stat(v, v, grid=([(0.0, 0.5)], [(0.5, 1.0)]))
         assert rep.statistic == pytest.approx(0.25, abs=1e-2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_interval_table_equals_mask_oracle(self, data):
+        # values on cell edges, outside every cell (+-inf included), default
+        # grids over ranges beyond [0, 1], shuffled gapped cells, empty cells
+        grid = data.draw(st.none() | st.tuples(cell_grids(), cell_grids()))
+        edges = [x for g in grid or (unit_interval_grid(10),) for cell in g for x in cell]
+        point = st.floats(-3, 3) | st.sampled_from(edges + [np.inf, -np.inf])
+        n = data.draw(st.integers(1, 40))
+        v, w = (SequenceWindow(data.draw(st.lists(point, min_size=n, max_size=n))) for _ in "vw")
+        rep = interval_independence_stat(v, w, grid=grid)
+        grid_v, grid_w = grid or (_default_grid(v), _default_grid(w))
+        want = oracles.interval_independence_table_oracle(
+            v.values.tolist(), w.values.tolist(), grid_v, grid_w
+        )
+        assert [d for _, _, d in rep.table] == want
+        assert rep.statistic == max(want)
+        assert rep.family == f"intervals {len(grid_v)}x{len(grid_w)}"
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[(0.0, 0.5), (0.4, 1.0)], [(0.2, 0.3), (0.0, 1.0)], [(0.1, 0.2), (0.1, 0.2)]],
+    )
+    def test_overlapping_cells_raise(self, cells):
+        v = vdc_window(2, 64)
+        with pytest.raises(ValueError, match="overlap"):
+            interval_independence_stat(v, v, grid=(cells, unit_interval_grid(4)))
+
+    def test_empty_cells_hold_nothing(self):
+        # (0.9, 0.1) lies across the live cell [0.5, 1) without overlapping it
+        v = vdc_window(2, 64)
+        cells = [(0.0, 0.5), (0.5, 0.5), (0.9, 0.1), (0.5, 1.0)]
+        rep = interval_independence_stat(v, v, grid=(cells, unit_interval_grid(2)))
+        assert [d for _, _, d in rep.table] == [0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.25, 0.25]
 
 
 class TestRegionDensity:

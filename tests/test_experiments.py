@@ -1,6 +1,8 @@
 """Experiment harness tests: gates must reject bad inputs, statistics must
 match direct-count oracles, and reports must be bit-reproducible."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,11 @@ class TestCltExperiment:
         with pytest.raises(GateError):
             clt_experiment(family, N=5_000)
 
+    def test_independence_gate_names_first_failing_pair(self):
+        with pytest.raises(GateError) as e:
+            clt_experiment(vdc_family([2, 3, 2]), N=5_000)
+        assert str(e.value) == "members 0 and 2 fail the independence gate (0.09032 > 0.02)"
+
     def test_standardized_reference_at_zero(self):
         assert normal_cdf(0.0) == 0.5
 
@@ -201,6 +208,18 @@ class TestKolmogorovHelper:
     def test_uniform_sample_against_its_own_law(self):
         xs = (np.arange(1000) + 0.5) / 1000
         assert kolmogorov_distance(xs, lambda t: np.clip(t, 0, 1)) <= 1e-3
+
+    def test_normal_cdf_matches_pointwise_erf(self):
+        rng = np.random.default_rng(5)
+        xs = np.concatenate(
+            (rng.normal(0, 3, 2000), [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 1e-300])
+        )
+        want = np.array([0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) for t in xs.tolist()])
+        assert normal_cdf(xs).tobytes() == want.tobytes()
+        for x in (0.3, np.float64(-1.7), np.array(2.5)):
+            got = normal_cdf(x)
+            assert type(got) is float
+            assert got == 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
 
     def test_normal_cdf_accuracy(self):
         # reference values accurate to 1e-12 (Abramowitz-Stegun style checks)
