@@ -149,8 +149,11 @@ def parse_ladder(text: str | None) -> tuple[int, ...]:
     if text == "primorial":
         return de.PRIMORIAL_LADDER
     if text.startswith("factorial:"):
-        n = int(text.split(":", 1)[1])
-        return tuple(de.FACTORIAL_LADDER[:n])
+        k = text.split(":", 1)[1]
+        top = len(de.FACTORIAL_LADDER)
+        if not (k.isdecimal() and 1 <= int(k) <= top):
+            raise ConfigError(f"bad ladder {text!r}: factorial:K needs an integer K in 1..{top}")
+        return de.FACTORIAL_LADDER[: int(k)]
     try:
         return tuple(int(float(x)) for x in text.split(","))
     except ValueError as e:
@@ -273,10 +276,17 @@ def _run_density(cfg: RunConfig):
     return report, series
 
 
+def _sequence_param(p: dict, key: str = "seq"):
+    """The sequence handle under `key`; a missing one names its flag."""
+    if key not in p:
+        raise ConfigError(f"missing --{key} sequence spec")
+    return parse_sequence_spec(p[key])
+
+
 def _two_windows(p: dict) -> tuple[sg.SequenceWindow, sg.SequenceWindow, int]:
     n = int(p.get("n", 10_000))
-    v = parse_sequence_spec(p["seq"]).window(n)
-    w = parse_sequence_spec(p["seq2"]).window(n)
+    v = _sequence_param(p).window(n)
+    w = _sequence_param(p, "seq2").window(n)
     return v, w, n
 
 
@@ -284,7 +294,7 @@ def _run_dist(cfg: RunConfig):
     p = cfg.params
     verb = cfg.verb
     if verb == "edf":
-        w = parse_sequence_spec(p["seq"]).window(int(p.get("n", 10_000)))
+        w = _sequence_param(p).window(int(p.get("n", 10_000)))
         F = di.edf(w)
         report = {"points": int(F.breakpoints.size), "mean": F.mean()}
         series = (
@@ -296,7 +306,7 @@ def _run_dist(cfg: RunConfig):
         )
         return report, series
     if verb == "moments":
-        w = parse_sequence_spec(p["seq"]).window(int(p.get("n", 10_000)))
+        w = _sequence_param(p).window(int(p.get("n", 10_000)))
         s = di.moments(w)
         return (
             {
@@ -374,7 +384,7 @@ def _run_polyadic(cfg: RunConfig):
             None,
         )
     if verb == "profile":
-        handle = parse_sequence_spec(p["seq"])
+        handle = _sequence_param(p)
         ladder = parse_ladder(p.get("ladder"))
         eps_list = [float(x) for x in p.get("eps", [0.1, 0.01])]
         window = int(p["window"]) if "window" in p else None
@@ -389,7 +399,7 @@ def _run_polyadic(cfg: RunConfig):
             None,
         )
     if verb == "integrate":
-        handle = parse_sequence_spec(p["seq"])
+        handle = _sequence_param(p)
         ladder = parse_ladder(p.get("ladder"))
         trace = po.haar_integral(handle, ladder)
         report = {"value": trace.value, "levels": list(trace.levels)}

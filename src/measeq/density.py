@@ -76,23 +76,12 @@ class APSet:
                 out[start - 1 :: m] = True
         return out
 
-    def density(self) -> Fraction:
-        """Exact density of the union (cached)."""
-        cached = _DENSITY_CACHE.get(self.progressions)
-        if cached is None:
-            cached = ap_union_density(self)
-            _DENSITY_CACHE[self.progressions] = cached
-        return cached
-
     def intersects(self, other: "APSet") -> bool:
         return any(
             _crt_intersect(r1, m1, r2, m2) is not None
             for r1, m1 in self.progressions
             for r2, m2 in other.progressions
         )
-
-
-_DENSITY_CACHE: dict[tuple, Fraction] = {}
 
 
 def ap_union_density(s: APSet, term_limit: int = 200_000) -> Fraction:
@@ -326,9 +315,12 @@ def buck_upper(
 
     At each ladder modulus m, residue classes hit persistently (>= threshold
     hits, last hit in the final third of the window when `require_recent`)
-    enter the cover as r+(m); remaining stragglers are covered per class by
-    whichever is cheaper, the class progression or singleton progressions at
-    the largest ladder modulus.
+    enter the cover as r+(m).  The stragglers of each remaining class r are
+    covered by r+(m) when 1/m <= k/big_m, with big_m = max(ladder) and k the
+    number of distinct straggler residues x mod big_m in that class (a tie
+    takes the class), and by the k progressions x+(big_m) otherwise.  The cost
+    counts a singleton once for each class it serves, even when m does not
+    divide big_m and two classes share it.
     """
     certs = buck_upper_per_level(pred, ladder, window_N, threshold, require_recent)
     return min(certs, key=lambda c: c.cost)
@@ -364,17 +356,19 @@ def buck_upper_per_level(
         # stragglers grouped by class: class progression vs singletons, cheaper wins
         strag = hits[~persistent[res]] if hits.size else hits
         if strag.size:
-            sres = strag % m
-            for r in np.unique(sres):
-                members = strag[sres == r]
-                k = len(np.unique(members % big_m))
-                if Fraction(1, m) <= Fraction(k, big_m):
-                    pairs.append((int(r), m))
-                    cost += Fraction(1, m)
-                else:
-                    for x in np.unique(members % big_m):
-                        pairs.append((int(x), big_m))
-                    cost += Fraction(k, big_m)
+            # distinct (class, singleton) pairs in class order; a singleton that
+            # two classes share (m need not divide big_m) counts in both
+            cls, single = strag % m, strag % big_m
+            order = np.lexsort((single, cls))
+            cls, single = cls[order], single[order]
+            fresh = np.ones(cls.size, dtype=bool)
+            fresh[1:] = (cls[1:] != cls[:-1]) | (single[1:] != single[:-1])
+            classes, k = np.unique(cls[fresh], return_counts=True)
+            # 1/m <= k/big_m, i.e. k*m >= big_m, kept free of int64 products
+            whole = k >= -(-big_m // m)
+            pairs.extend((r, m) for r in classes[whole].tolist())
+            pairs.extend((x, big_m) for x in single[fresh][np.repeat(~whole, k)].tolist())
+            cost += Fraction(int(whole.sum()), m) + Fraction(int(k[~whole].sum()), big_m)
         cover = APSet(pairs)
         _verify_cover(cover, hits, window_N)
         out.append(CoverCertificate(cover, cost, window_N, m))
@@ -382,12 +376,13 @@ def buck_upper_per_level(
 
 
 def _verify_cover(cover: APSet, hits: np.ndarray, N: int) -> None:
+    """Raise DiagnosticError unless the cover holds every hit in [1, N]."""
     if hits.size == 0:
         return
     covered = cover.mask(N)
     if not covered[hits - 1].all():
         missing = hits[~covered[hits - 1]][:5]
-        raise AssertionError(f"cover misses window elements {missing.tolist()}")
+        raise DiagnosticError(f"cover misses window elements {missing.tolist()}")
 
 
 @dataclass

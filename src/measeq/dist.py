@@ -247,6 +247,8 @@ def _default_grid(w: SequenceWindow, k: int = 10) -> tuple[tuple[float, float], 
         return unit_interval_grid(k)
     span = hi - lo or 1.0
     top = hi + 1e-9 * span
+    if not np.isfinite(top - lo):
+        raise DomainError(f"window bounds [{lo:g}, {hi:g}] give no finite default cells")
     return tuple((lo + i * (top - lo) / k, lo + (i + 1) * (top - lo) / k) for i in range(k))
 
 
@@ -294,7 +296,8 @@ def interval_independence_stat(
     Each grid is a sequence of pairwise disjoint half-open cells [lo, hi);
     overlapping cells raise ValueError.  The default grid of a window is
     `unit_interval_grid(10)` if it lies in [0, 1), else 10 equal cells over its
-    bounds with the top edge raised by 1e-9 of the span.
+    bounds with the top edge raised by 1e-9 of the span; a window holding
+    +-inf has no default grid (DomainError), only explicit cells.
     """
     if len(v) != len(w):
         raise WindowRangeError(f"length mismatch: {len(v)} vs {len(w)}")

@@ -22,7 +22,8 @@ class DomainError(MeaseqError):
 
 
 class DiagnosticError(MeaseqError):
-    """The window is too small for the requested analysis to be meaningful."""
+    """The window cannot support the requested analysis: it is too small, or a
+    certificate built on it fails its own check."""
 
 
 class DegenerateWindowError(MeaseqError):

@@ -1,10 +1,16 @@
 """Independent brute-force reference implementations for window statistics.
 
-Everything here is plain-Python double loops over raw value lists; nothing is
-shared with the library's vectorized code paths.
+Everything here is plain-Python double loops over raw value lists, apart from
+the cover oracle, which keeps the per-class straggler loop that
+`buck_upper_per_level` ran before it grouped stragglers in one pass.
 """
 
 import math
+from fractions import Fraction
+
+import numpy as np
+
+from measeq.density import APSet, CoverCertificate
 
 
 def mean_oracle(vals):
@@ -124,3 +130,37 @@ def rough_count_oracle(N, y):
     # n in [1, N] with no prime factor <= y; n = 1 counts
     primes = [p for p in range(2, y + 1) if all(p % q for q in range(2, p))]
     return sum(1 for n in range(1, N + 1) if all(n % p for p in primes))
+
+
+def buck_upper_per_level_oracle(pred, ladder, window_N, threshold, require_recent):
+    # one rescan of the stragglers per residue class: class progression r+(m)
+    # when 1/m <= k/big_m for its k distinct singletons mod big_m, else those
+    hits = np.flatnonzero(pred.mask(window_N)).astype(np.int64) + 1
+    big_m = max(ladder)
+    recent_cut = (2 * window_N) // 3
+    out = []
+    for m in [m for m in ladder if window_N >= threshold * m]:
+        res = hits % m if hits.size else np.zeros(0, dtype=np.int64)
+        counts = np.bincount(res, minlength=m)
+        persistent = counts >= threshold
+        if require_recent and hits.size:
+            last = np.zeros(m, dtype=np.int64)
+            np.maximum.at(last, res, hits)
+            persistent &= last > recent_cut
+        pairs = [(int(r), m) for r in np.flatnonzero(persistent)]
+        cost = Fraction(len(pairs), m)
+        strag = hits[~persistent[res]] if hits.size else hits
+        if strag.size:
+            sres = strag % m
+            for r in np.unique(sres):
+                members = strag[sres == r]
+                k = len(np.unique(members % big_m))
+                if Fraction(1, m) <= Fraction(k, big_m):
+                    pairs.append((int(r), m))
+                    cost += Fraction(1, m)
+                else:
+                    for x in np.unique(members % big_m):
+                        pairs.append((int(x), big_m))
+                    cost += Fraction(k, big_m)
+        out.append(CoverCertificate(APSet(pairs), cost, window_N, m))
+    return out

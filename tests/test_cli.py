@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from measeq.cli import main
+from measeq.cli import main, parse_ladder
+from measeq.density import FACTORIAL_LADDER, APSet
 
 
 def run_json(capsys, argv):
@@ -176,6 +178,39 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip().splitlines() == [
             f"config error: bad cells: need at least one cell, got {cells}"
         ]
+
+    @pytest.mark.parametrize("k", ["0", "9", "12", "x", "2.5", ""])
+    def test_factorial_ladder_out_of_range_is_config_error(self, capsys, k):
+        assert main(["density", "--pred", "squares", "--ladder", f"factorial:{k}"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: bad ladder 'factorial:{k}': factorial:K needs an integer K in 1..8"
+        ]
+
+    def test_factorial_ladder_prefix(self):
+        assert parse_ladder("factorial:3") == (1, 2, 6)
+        assert parse_ladder("factorial:8") == FACTORIAL_LADDER
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["dist", "indep", "--seq", '{"kind":"vdc"}', "--n", "100"], "--seq2"),
+            (["dist", "corr", "--seq2", '{"kind":"vdc"}', "--n", "100"], "--seq"),
+            (["dist", "moments", "--n", "100"], "--seq"),
+            (["polyadic", "profile"], "--seq"),
+        ],
+    )
+    def test_missing_sequence_flag_is_config_error(self, capsys, argv, flag):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: missing {flag} sequence spec"
+        ]
+
+    def test_failed_cover_check_is_refused(self, capsys, monkeypatch):
+        # a cover mask that holds nothing fails the check on every level
+        monkeypatch.setattr(APSet, "mask", lambda self, N: np.zeros(N, dtype=bool))
+        assert main(["density", "--pred", "squares", "--window", "1000"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["run refused: cover misses window elements [1, 4, 9, 16, 25]"]
 
     def test_unknown_verb_exits_two(self):
         with pytest.raises(SystemExit) as e:

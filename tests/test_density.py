@@ -5,9 +5,10 @@ from math import isqrt, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from measeq.density import (
     APSet,
     FACTORIAL_LADDER,
@@ -24,8 +25,9 @@ from measeq.density import (
     residue_saturation,
     squares_predicate,
     Predicate,
+    _verify_cover,
 )
-from measeq.errors import DiagnosticError
+from measeq.errors import DiagnosticError, MeaseqError
 
 
 def union_density_by_enumeration(s: APSet) -> Fraction:
@@ -234,6 +236,86 @@ class TestCoverCertificates:
         mask = cert.cover.mask(100_000)
         assert all(mask[n * n - 1] for n in range(1, isqrt(100_000) + 1))
         assert cert.verified_upto == 100_000
+
+
+def mask_predicate(mask: np.ndarray) -> Predicate:
+    return Predicate(lambda n: bool(mask[n - 1]), lambda N: mask[:N], name="hits")
+
+
+@st.composite
+def hit_sets(draw):
+    """A window mask: a few residue classes mod q, cut off early or not, plus
+    scattered and early hits, so that levels see persistent classes, stale
+    classes and lone stragglers."""
+    N = draw(st.integers(1, 3000))
+    n = np.arange(1, N + 1)
+    # periods 7 and 35 put one singleton mod big_m of (3, 5, 7) or
+    # (1, 4, 6, 10, 35) into several classes at once
+    q = draw(st.integers(1, 60) | st.sampled_from([7, 14, 35, 70]))
+    residues = draw(st.lists(st.integers(0, q - 1), max_size=4))
+    cut = draw(st.integers(0, N))
+    mask = np.isin(n % q, residues) & (n <= cut)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask |= rng.random(N) < draw(st.sampled_from([0.0, 0.002, 0.02, 0.2]))
+    # a few early hits: lone members whose singletons often repeat across classes
+    early = draw(st.lists(st.integers(1, 40), max_size=8))
+    mask[[n - 1 for n in early if n <= N]] = True
+    return mask
+
+
+# one third each: ladder prefixes, ladders where m need not divide big_m (a
+# singleton can sit in two classes), and big_m of 2**32 and more, where a
+# (r % m) * big_m + x key would overflow int64
+straggler_ladders = st.one_of(
+    st.sampled_from(
+        [FACTORIAL_LADDER[:k] for k in range(1, 9)]
+        + [PRIMORIAL_LADDER[:k] for k in range(1, 8)]
+    ),
+    st.sampled_from([(1, 4, 6, 10, 35), (3, 5, 7)]),
+    st.sampled_from([(1, 2, 6, 24, 2**32 + 15), (1, 6, 30, 2**61 - 1)]),
+)
+
+
+def hits_at(N, *ns):
+    mask = np.zeros(N, dtype=bool)
+    mask[[n - 1 for n in ns]] = True
+    return mask
+
+
+class TestStragglerGrouping:
+    # stale hits 1, 8, 15 share singleton 1 mod 7 from classes 1, 2, 0 mod 3:
+    # the cover holds 1+(7) once, the cost 3/7 counts it in each class
+    @example(mask=hits_at(60, 1, 8, 15), ladder=(3, 5, 7), threshold=1, recent=True)
+    # stale hits 1, 3, 5 at level 2 tie 1/2 against 3/6 and take the class
+    @example(mask=hits_at(60, 1, 3, 5), ladder=(1, 2, 6), threshold=3, recent=True)
+    @given(
+        hit_sets(),
+        straggler_ladders,
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_class_oracle(self, mask, ladder, threshold, recent):
+        N = mask.size
+        if N < threshold * min(ladder):
+            with pytest.raises(DiagnosticError):
+                buck_upper_per_level(mask_predicate(mask), ladder, N, threshold, recent)
+            return
+        got = buck_upper_per_level(mask_predicate(mask), ladder, N, threshold, recent)
+        want = oracles.buck_upper_per_level_oracle(
+            mask_predicate(mask), ladder, N, threshold, recent
+        )
+        assert [c.level for c in got] == [c.level for c in want]
+        for g, w in zip(got, want):
+            assert g.cover.progressions == w.cover.progressions
+            assert g.cost == w.cost
+
+
+class TestVerifyCover:
+    def test_missing_hit_is_a_measeq_error(self):
+        hits = np.array([2, 4, 5, 8], dtype=np.int64)
+        with pytest.raises(MeaseqError, match=r"cover misses window elements \[5\]"):
+            _verify_cover(APSet.single(0, 2), hits, 10)
 
 
 class TestMeasurability:

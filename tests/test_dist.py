@@ -26,7 +26,12 @@ from measeq.dist import (
     uniform_edf,
     unit_interval_grid,
 )
-from measeq.errors import CapacityError, DegenerateWindowError, WindowRangeError
+from measeq.errors import (
+    CapacityError,
+    DegenerateWindowError,
+    DomainError,
+    WindowRangeError,
+)
 from measeq.seqgen import (
     BaseChain,
     SequenceWindow,
@@ -275,12 +280,17 @@ class TestIndependenceStats:
     @given(data=st.data())
     def test_interval_table_equals_mask_oracle(self, data):
         # values on cell edges, outside every cell (+-inf included), default
-        # grids over ranges beyond [0, 1], shuffled gapped cells, empty cells
+        # grids over ranges beyond [0, 1], shuffled gapped cells, empty cells;
+        # a default grid over +-inf values is refused
         grid = data.draw(st.none() | st.tuples(cell_grids(), cell_grids()))
         edges = [x for g in grid or (unit_interval_grid(10),) for cell in g for x in cell]
         point = st.floats(-3, 3) | st.sampled_from(edges + [np.inf, -np.inf])
         n = data.draw(st.integers(1, 40))
         v, w = (SequenceWindow(data.draw(st.lists(point, min_size=n, max_size=n))) for _ in "vw")
+        if grid is None and not np.isfinite(np.concatenate([v.values, w.values])).all():
+            with pytest.raises(DomainError, match="no finite default cells"):
+                interval_independence_stat(v, w)
+            return
         rep = interval_independence_stat(v, w, grid=grid)
         grid_v, grid_w = grid or (_default_grid(v), _default_grid(w))
         want = oracles.interval_independence_table_oracle(
@@ -298,6 +308,16 @@ class TestIndependenceStats:
         v = vdc_window(2, 64)
         with pytest.raises(ValueError, match="overlap"):
             interval_independence_stat(v, v, grid=(cells, unit_interval_grid(4)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_default_grid_refuses_infinite_values(self, bad):
+        w = SequenceWindow([0.1, 0.2, bad, 0.3] * 5)
+        with pytest.raises(DomainError, match="no finite default cells"):
+            interval_independence_stat(w, w)
+        # explicit cells still work; the infinite values fall in no cell
+        rep = interval_independence_stat(w, w, grid=(unit_interval_grid(4),) * 2)
+        assert rep.statistic == 0.25
+        assert rep.table[0] == ("[0,0.25)", "[0,0.25)", 0.25)
 
     def test_empty_cells_hold_nothing(self):
         # (0.9, 0.1) lies across the live cell [0.5, 1) without overlapping it
