@@ -11,9 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -38,6 +42,12 @@ class RunConfig:
     threads: int = 1
     tolerance: float | None = None
 
+    def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"bad config field {name!r}: {value!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -47,6 +57,9 @@ class RunConfig:
             return cls(**d)
         except TypeError as e:
             raise ConfigError(f"bad config fields: {e}") from e
+
+
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _jsonable(obj):
@@ -72,51 +85,60 @@ def _jsonable(obj):
 # ---------------------------------------------------------------- spec parsing
 
 
+@contextmanager
+def _reading(what: str, spec):
+    """Turn an unreadable `spec`, or a malformed field of it, into one
+    ConfigError naming the spec."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, OSError) as e:
+        reason = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ConfigError(f"bad {what} {spec!r}: {reason}") from e
+
+
+def _count(x) -> int:
+    if int(x) != x or x < 1:
+        raise ValueError(f"need a positive integer, got {x!r}")
+    return int(x)
+
+
 def parse_sequence_spec(spec) -> object:
     """JSON sequence spec -> generator handle."""
-    if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"sequence spec is not valid JSON: {e}") from e
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("sequence spec must be an object with a 'kind'")
     kind = spec["kind"]
-    if kind == "vdc":
-        chain = spec.get("chain", {})
-        if "moduli" in chain:
-            return sg.VdcSequence(sg.BaseChain(tuple(chain["moduli"])))
-        if "factorial" in chain:
-            return sg.VdcSequence(sg.BaseChain.factorial(int(chain["factorial"])))
-        ratio = int(chain.get("ratio", 2))
-        levels = int(chain.get("levels", 1))
-        return sg.VdcSequence(sg.BaseChain.geometric(ratio, levels))
-    if kind == "additive":
-        primes = {int(p): float(v) for p, v in spec.get("primes", {}).items()}
-        return sg.AdditiveSequence(
-            sg.AdditiveFunctionSpec(primes, float(spec.get("tail", 0.0)))
-        )
-    if kind == "simple":
-        parts = [
-            (de.APSet.single(int(p["r"]), int(p["m"])), float(p["c"]))
-            for p in spec.get("parts", [])
-        ]
-        return sg.SimpleSequence(sg.SimpleSpec(parts))
-    if kind == "periodic":
-        return sg.PeriodicTable([float(v) for v in spec["values"]])
-    if kind == "uniform":
-        n = int(spec.get("n", 1000))
-        return sg.PeriodicTable([i / n for i in range(n)])
+    with _reading("sequence spec", spec):
+        if kind == "vdc":
+            chain = spec.get("chain", {})
+            if "moduli" in chain:
+                return sg.VdcSequence(sg.BaseChain(tuple(chain["moduli"])))
+            if "factorial" in chain:
+                return sg.VdcSequence(sg.BaseChain.factorial(int(chain["factorial"])))
+            ratio = int(chain.get("ratio", 2))
+            levels = int(chain.get("levels", 1))
+            return sg.VdcSequence(sg.BaseChain.geometric(ratio, levels))
+        if kind == "additive":
+            primes = {int(p): float(v) for p, v in spec.get("primes", {}).items()}
+            return sg.AdditiveSequence(
+                sg.AdditiveFunctionSpec(primes, float(spec.get("tail", 0.0)))
+            )
+        if kind == "simple":
+            parts = [
+                (de.APSet.single(int(p["r"]), int(p["m"])), float(p["c"]))
+                for p in spec.get("parts", [])
+            ]
+            return sg.SimpleSequence(sg.SimpleSpec(parts))
+        if kind == "periodic":
+            return sg.PeriodicTable([float(v) for v in spec["values"]])
+        if kind == "uniform":
+            n = int(spec.get("n", 1000))
+            return sg.PeriodicTable([i / n for i in range(n)])
     raise ConfigError(f"unknown sequence kind {kind!r}")
 
 
-def parse_predicate_spec(spec, window_hint: int = 100_000) -> de.Predicate:
-    """JSON predicate spec -> membership predicate."""
-    if isinstance(spec, str) and spec.lstrip().startswith(("{", "[")):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"predicate spec is not valid JSON: {e}") from e
+def parse_predicate_spec(spec, window_hint: int = 100_000):
+    """JSON predicate spec -> (membership predicate, its APSet or None); an AP
+    union keeps its progressions, whose density is known exactly."""
     if isinstance(spec, str):
         named = {
             "squares": de.squares_predicate,
@@ -125,26 +147,25 @@ def parse_predicate_spec(spec, window_hint: int = 100_000) -> de.Predicate:
         }
         if spec not in named:
             raise ConfigError(f"unknown predicate {spec!r}")
-        return named[spec]()
+        return named[spec](), None
     if isinstance(spec, dict) and "ap" in spec:
-        pairs = spec["ap"]
-        if isinstance(pairs, dict):
-            pairs = [pairs]
-        return de.ap_predicate(
-            de.APSet([(int(p["r"]), int(p["m"])) for p in pairs])
-        )
+        with _reading("predicate spec", spec):
+            pairs = [spec["ap"]] if isinstance(spec["ap"], dict) else spec["ap"]
+            apset = de.APSet([(int(p["r"]), int(p["m"])) for p in pairs])
+        return de.ap_predicate(apset), apset
     if isinstance(spec, dict) and "threshold" in spec:
         t = spec["threshold"]
-        handle = parse_sequence_spec(t["seq"])
-        w = handle.window(int(t.get("n", window_hint)))
-        lo = float(t.get("lo", -np.inf))
-        hi = float(t.get("hi", np.inf))
-        return de.window_level_set(w, lo, hi)
+        with _reading("predicate spec", spec):
+            handle = parse_sequence_spec(t["seq"])
+            n = _count(t.get("n", window_hint))
+            lo = float(t.get("lo", -np.inf))
+            hi = float(t.get("hi", np.inf))
+        return de.window_level_set(handle.window(n), lo, hi), None
     raise ConfigError(f"cannot interpret predicate spec {spec!r}")
 
 
-def parse_ladder(text: str | None) -> tuple[int, ...]:
-    if text is None or text == "factorial":
+def parse_ladder(text: str) -> tuple[int, ...]:
+    if text == "factorial":
         return de.FACTORIAL_LADDER
     if text == "primorial":
         return de.PRIMORIAL_LADDER
@@ -154,43 +175,35 @@ def parse_ladder(text: str | None) -> tuple[int, ...]:
         if not (k.isdecimal() and 1 <= int(k) <= top):
             raise ConfigError(f"bad ladder {text!r}: factorial:K needs an integer K in 1..{top}")
         return de.FACTORIAL_LADDER[: int(k)]
-    try:
-        return tuple(int(float(x)) for x in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"bad ladder {text!r}: {e}") from e
+    with _reading("ladder", text):
+        return tuple(_count(int(float(x))) for x in text.split(","))
 
 
-def parse_grid(text: str | None) -> tuple[int, ...]:
-    """Either 'A..B' (doubling from A up to B) or a comma list."""
-    if text is None:
-        text = "1e3..1e6"
-    if ".." in text:
-        a_str, b_str = text.split("..", 1)
-        a, b = int(float(a_str)), int(float(b_str))
-        if a < 1 or b < a:
-            raise ConfigError(f"bad grid range {text!r}")
-        grid = []
-        n = a
-        while n < b:
-            grid.append(n)
-            n *= 2
-        grid.append(b)
-        return tuple(grid)
-    try:
-        return tuple(int(float(x)) for x in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"bad grid {text!r}: {e}") from e
+def parse_grid(text: str) -> tuple[int, ...]:
+    """Either 'A..B' (doubling from A up to B) or an increasing comma list."""
+    with _reading("grid", text):
+        if ".." in text:
+            a_str, b_str = text.split("..", 1)
+            a, b = int(float(a_str)), int(float(b_str))
+            if a < 1 or b < a:
+                raise ValueError("need 1 <= A <= B")
+            grid = []
+            n = a
+            while n < b:
+                grid.append(n)
+                n *= 2
+            grid.append(b)
+            return tuple(grid)
+        grid = tuple(int(float(x)) for x in text.split(","))
+        if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("need positive, strictly increasing windows")
+        return grid
 
 
 def parse_indices(spec) -> np.ndarray:
-    if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"index spec is not valid JSON: {e}") from e
-    if isinstance(spec, list):
-        return np.asarray(spec, dtype=np.int64)
-    if isinstance(spec, dict):
+    with _reading("index spec", spec):
+        if isinstance(spec, list):
+            return np.asarray(spec, dtype=np.int64)
         n = int(spec.get("n", 10_000))
         kind = spec.get("kind", "identity")
         if kind == "identity":
@@ -199,50 +212,188 @@ def parse_indices(spec) -> np.ndarray:
             return ex.pair_swap_indices(n)
         if kind == "even":
             return 2 * ex.identity_indices(n)
-        raise ConfigError(f"unknown index kind {kind!r}")
-    raise ConfigError(f"cannot interpret index spec {spec!r}")
+    raise ConfigError(f"unknown index kind {kind!r}")
+
+
+def _exp_config(raw) -> dict:
+    """The experiment config object: inline JSON, or JSON in the file after '@'."""
+    if isinstance(raw, str):
+        with _reading("experiment config", raw):
+            raw = json.loads(Path(raw[1:]).read_text() if raw.startswith("@") else raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("experiment config must be a JSON object")
+    return raw
+
+
+def _cell_grid(k: int):
+    try:
+        return di.unit_interval_grid(k)
+    except ValueError as e:
+        raise ConfigError(f"bad cells: {e}") from e
+
+
+def _two_handles(specs: list) -> list:
+    if len(specs) != 2:
+        raise ConfigError("conv needs exactly two sequence specs")
+    return [parse_sequence_spec(s) for s in specs]
 
 
 _G_REGISTRY = {
-    "x": lambda x: np.asarray(x, dtype=float),
-    "x^2": lambda x: np.asarray(x, dtype=float) ** 2,
-    "x^3": lambda x: np.asarray(x, dtype=float) ** 3,
+    **dict(di.DEFAULT_TEST_FAMILY[:3]),
     "1-x": lambda x: 1.0 - np.asarray(x, dtype=float),
     "one": lambda x: np.ones_like(np.asarray(x, dtype=float)),
 }
 
 
-def _lookup_g(name: str):
-    if name not in _G_REGISTRY:
-        raise ConfigError(f"unknown test function {name!r} (have {sorted(_G_REGISTRY)})")
-    return _G_REGISTRY[name]
+# ------------------------------------------------------------ parameter table
+
+
+@dataclass(frozen=True)
+class Param:
+    """A verb's parameter: flag `--name` and key in the echoed params (or the
+    experiment config), holding JSON of `types` (a list of `items`) within
+    `choices` and `least`, which `convert` turns into the handler's value.
+    An absent one takes `default` (echoed form, or a function of the values
+    resolved before it), echoed from the command line only if `echo` is set.
+    `flags` and `read(args, params)` replace `--name` where argv differs."""
+
+    name: str
+    types: tuple[type, ...]
+    help: str
+    default: object = None
+    required: bool = False
+    echo: bool = False
+    items: type | None = None
+    choices: tuple = ()
+    least: int | None = None
+    convert: Callable | None = None
+    flags: dict | None = None
+    read: Callable | None = None
+    keys: tuple = ()
+
+    def cli_flags(self) -> dict:
+        return self.flags or {f"--{self.name}": {}}
+
+    def label(self, where: str = "--") -> str:
+        flag = next(iter(self.cli_flags()))
+        return f"{where}{self.name}" if flag.startswith("-") else flag.upper()
+
+
+@dataclass(frozen=True)
+class Verb:
+    """A verb's parameters and its handler: (resolved params, RunConfig) ->
+    (report, CSV series or None)."""
+
+    help: str
+    params: tuple[Param, ...]
+    run: Callable
+
+
+def _typed(value, types: tuple[type, ...], label: str):
+    """`value` if it is JSON of `types`; an integral number counts as an
+    integer, an integer as a number, a boolean as neither."""
+    if int in types and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif float in types and type(value) is int:
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in types)
+        got = json.dumps(value, default=repr)
+        raise ConfigError(f"bad {label}: expected {expected}, got {got}")
+    return value
+
+
+def _check(p: Param, value, label: str):
+    value = _typed(value, p.types, label)
+    if p.items:
+        value = [_typed(x, (p.items,), f"{label} item") for x in value]
+    for x in value if p.items else [value]:
+        if p.choices and x not in p.choices:
+            raise ConfigError(f"bad {label}: expected one of {list(p.choices)}, got {x!r}")
+        if p.least is not None and x < p.least:
+            raise ConfigError(f"bad {label}: need at least {p.least}, got {x!r}")
+    return value
+
+
+def _resolve(params: tuple[Param, ...], given: dict, where: str = "--") -> SimpleNamespace:
+    """Check echoed values against their table and convert them; run and
+    rerun both come through here."""
+    declared = {p.name for p in params}
+    for key in given:
+        if key not in declared:
+            raise ConfigError(f"unknown parameter {where}{key}")
+    out = SimpleNamespace()
+    for p in params:
+        label = p.label(where)
+        if p.name in given:
+            value = given[p.name]
+        elif p.required:
+            raise ConfigError(f"missing {label} {p.help}")
+        else:
+            value = p.default(out) if callable(p.default) else p.default
+        if value is not None:
+            value = _check(p, value, label)
+            if p.keys:
+                value = _resolve(p.keys, _exp_config(value), f"{label} key ")
+            elif p.convert is not None:
+                value = p.convert(value)
+        setattr(out, p.name, value)
+    return out
+
+
+def _from_text(p: Param, text: str):
+    """A command-line value as the JSON value that is echoed."""
+    with _reading(p.label(), text):
+        if p.types == (int,):
+            return int(text)
+        if p.items is float:
+            return [float(x) for x in text.split(",")]
+        if dict in p.types and (str not in p.types or text.lstrip().startswith(("{", "["))):
+            return json.loads(text)
+        return text
+
+
+_SEQ = Param("seq", (dict,), "sequence spec", required=True, convert=parse_sequence_spec)
+_SEQ2 = replace(_SEQ, name="seq2")
+_N = Param("n", (int,), "window length", default=10_000, echo=True, least=1)
+# edf, moments and corr ignore --cells and --kind; configs echoed with them replay unchanged
+_CELLS = Param("cells", (int,), "interval cells per axis", default=10, echo=True,
+               convert=_cell_grid)
+_KIND = Param("kind", (str,), "independence statistic", default="interval", echo=True,
+              choices=("interval", "functional"))
+_LADDER = Param("ladder", (str,), 'modulus ladder: "factorial", "primorial", "factorial:K" '
+                "or a comma list", default="factorial", convert=parse_ladder)
+_INDICES = Param("indices", (list, dict), "index spec", required=True, convert=parse_indices)
+_FAMILY = (Param("primes", (int,), "family over the first K primes", least=1),
+           Param("bases", (list,), "family over these bases", items=int, least=2))
+
+
+def _conv_seqs(args: argparse.Namespace, params: dict) -> list:
+    """The factors of `dist conv`: each --uniform at the window length, then
+    --seq and --seq2."""
+    uniform = [{"kind": "uniform", "n": params["n"]} for _ in range(args.uniform or 0)]
+    given = ((_SEQ, args.seq), (_SEQ2, args.seq2))
+    return uniform + [_from_text(p, text) for p, text in given if text]
 
 
 # ------------------------------------------------------------------- handlers
 
 
-def _run_gen(cfg: RunConfig):
-    handle = parse_sequence_spec(cfg.params["spec"])
-    n = int(cfg.params.get("n", 100))
-    w = handle.window(n)
+def _run_gen(v, cfg: RunConfig):
+    w = v.spec.window(v.n)
     report = {
-        "n": n,
+        "n": v.n,
         "mean": float(w.values.mean()),
         "bounds": list(w.bounds),
     }
-    series = ("n,value", [(i + 1, v) for i, v in enumerate(w.values.tolist())])
+    series = ("n,value", [(i + 1, x) for i, x in enumerate(w.values.tolist())])
     return report, series
 
 
-def _run_density(cfg: RunConfig):
-    p = cfg.params
-    pred = parse_predicate_spec(p["pred"])
-    grid = parse_grid(p.get("grid"))
-    ladder = parse_ladder(p.get("ladder"))
-    threshold = int(p.get("threshold", de.DEFAULT_THRESHOLD))
-    window = int(p.get("window", min(grid[-1], 1_000_000)))
+def _run_density(v, cfg: RunConfig):
+    pred, apset = v.pred
     tolerance = cfg.tolerance if cfg.tolerance is not None else 1e-3
-    est = de.asymptotic_density_profile(pred, grid, tolerance=tolerance)
+    est = de.asymptotic_density_profile(pred, v.grid, tolerance=tolerance)
     report = {
         "value": est.value,
         "liminf": est.liminf_est,
@@ -250,12 +401,9 @@ def _run_density(cfg: RunConfig):
         "grid": list(est.window_grid),
         "certificates": [],
     }
-    if isinstance(p["pred"], (dict,)) and "ap" in p["pred"]:
-        pairs = p["pred"]["ap"]
-        pairs = [pairs] if isinstance(pairs, dict) else pairs
-        apset = de.APSet([(int(q["r"]), int(q["m"])) for q in pairs])
+    if apset is not None:
         report["exact_density"] = de.ap_union_density(apset)
-    for cert in de.buck_upper_per_level(pred, ladder, window, threshold):
+    for cert in de.buck_upper_per_level(pred, v.ladder, v.window, v.threshold):
         report["certificates"].append(
             {
                 "level": cert.level,
@@ -265,7 +413,7 @@ def _run_density(cfg: RunConfig):
                 "verified_upto": cert.verified_upto,
             }
         )
-    meas = de.buck_measurability_check(pred, ladder, window, threshold)
+    meas = de.buck_measurability_check(pred, v.ladder, v.window, v.threshold)
     report["measurability"] = {
         "levels": list(meas.levels),
         "gaps": [float(g) for g in meas.gaps],
@@ -276,254 +424,232 @@ def _run_density(cfg: RunConfig):
     return report, series
 
 
-def _sequence_param(p: dict, key: str = "seq"):
-    """The sequence handle under `key`; a missing one names its flag."""
-    if key not in p:
-        raise ConfigError(f"missing --{key} sequence spec")
-    return parse_sequence_spec(p[key])
+def _run_edf(v, cfg: RunConfig):
+    F = di.edf(v.seq.window(v.n))
+    report = {"points": int(F.breakpoints.size), "mean": F.mean()}
+    series = (
+        "x,mass_below,mass_upto",
+        [(x, float(F(x)), float(c)) for x, c in zip(F.breakpoints.tolist(), F.cum.tolist())],
+    )
+    return report, series
 
 
-def _two_windows(p: dict) -> tuple[sg.SequenceWindow, sg.SequenceWindow, int]:
-    n = int(p.get("n", 10_000))
-    v = _sequence_param(p).window(n)
-    w = _sequence_param(p, "seq2").window(n)
-    return v, w, n
+def _run_moments(v, cfg: RunConfig):
+    s = di.moments(v.seq.window(v.n))
+    report = {
+        "mean": s.mean,
+        "dispersion": s.dispersion,
+        "n_used": s.n_used,
+        "stability_gap": s.stability_gap,
+    }
+    return report, None
 
 
-def _run_dist(cfg: RunConfig):
-    p = cfg.params
-    verb = cfg.verb
-    if verb == "edf":
-        w = _sequence_param(p).window(int(p.get("n", 10_000)))
-        F = di.edf(w)
-        report = {"points": int(F.breakpoints.size), "mean": F.mean()}
-        series = (
-            "x,mass_below,mass_upto",
-            [
-                (x, float(F(x)), float(c))
-                for x, c in zip(F.breakpoints.tolist(), F.cum.tolist())
-            ],
+def _run_corr(v, cfg: RunConfig):
+    rho, alpha, beta = di.correlation(v.seq.window(v.n), v.seq2.window(v.n))
+    return {"rho": rho, "alpha": alpha, "beta": beta}, None
+
+
+def _run_indep(v, cfg: RunConfig):
+    a, b = v.seq.window(v.n), v.seq2.window(v.n)
+    threshold = cfg.tolerance if cfg.tolerance is not None else 0.02
+    if v.kind == "interval":
+        rep = di.interval_independence_stat(
+            a, b, grid=(v.cells, v.cells), verdict_threshold=threshold
         )
-        return report, series
-    if verb == "moments":
-        w = _sequence_param(p).window(int(p.get("n", 10_000)))
-        s = di.moments(w)
-        return (
-            {
-                "mean": s.mean,
-                "dispersion": s.dispersion,
-                "n_used": s.n_used,
-                "stability_gap": s.stability_gap,
-            },
-            None,
-        )
-    if verb == "corr":
-        v, w, _ = _two_windows(p)
-        rho, alpha, beta = di.correlation(v, w)
-        return {"rho": rho, "alpha": alpha, "beta": beta}, None
-    if verb == "indep":
-        v, w, _ = _two_windows(p)
-        threshold = cfg.tolerance if cfg.tolerance is not None else 0.02
-        kind = p.get("kind", "interval")
-        if kind == "interval":
-            try:
-                grid = di.unit_interval_grid(int(p.get("cells", 10)))
-            except ValueError as e:
-                raise ConfigError(f"bad cells: {e}") from e
-            rep = di.interval_independence_stat(
-                v, w, grid=(grid, grid), verdict_threshold=threshold
-            )
-        elif kind == "functional":
-            rep = di.statistical_independence_stat(v, w, verdict_threshold=threshold)
-        else:
-            raise ConfigError(f"unknown independence kind {kind!r}")
-        return (
-            {
-                "statistic": rep.statistic,
-                "family": rep.family,
-                "threshold": rep.verdict_threshold,
-                "passed": rep.passed,
-            },
-            ("g,g1,deviation", list(rep.table)),
-        )
-    if verb == "conv":
-        seqs = p.get("seqs", [])
-        if len(seqs) != 2:
-            raise ConfigError("conv needs exactly two sequence specs")
-        n = int(p.get("n", 1000))
-        edfs = []
-        for s in seqs:
-            handle = parse_sequence_spec(s)
-            edfs.append(di.edf(handle.window(n)))
-        G = di.convolve_edf(*edfs)
-        xs = [float(x) for x in p.get("eval", [0.5, 1.0])]
-        report = {
-            "atoms": int(G.breakpoints.size),
-            "mean": G.mean(),
-            "values": {str(x): float(G(x)) for x in xs},
-        }
-        return report, None
-    raise ConfigError(f"unknown dist verb {verb!r}")
+    else:
+        rep = di.statistical_independence_stat(a, b, verdict_threshold=threshold)
+    report = {
+        "statistic": rep.statistic,
+        "family": rep.family,
+        "threshold": rep.verdict_threshold,
+        "passed": rep.passed,
+    }
+    return report, ("g,g1,deviation", list(rep.table))
 
 
-def _run_polyadic(cfg: RunConfig):
-    p = cfg.params
-    verb = cfg.verb
-    if verb == "dist":
-        a, b = int(p["a"]), int(p["b"])
-        d = po.polyadic_distance(a, b)
-        frac = d.as_fraction()
-        return (
-            {
-                "a": a,
-                "b": b,
-                "exact": f"{frac.numerator}/{frac.denominator}",
-                "decimal": float(d),
-                "display": f"{frac.numerator}/{frac.denominator} = {float(d)}",
-            },
-            None,
-        )
-    if verb == "profile":
-        handle = _sequence_param(p)
-        ladder = parse_ladder(p.get("ladder"))
-        eps_list = [float(x) for x in p.get("eps", [0.1, 0.01])]
-        window = int(p["window"]) if "window" in p else None
-        prof = po.p_continuity_profile(handle, eps_list, ladder, window_N=window)
-        return (
-            {
-                "witnesses": {str(e): m for e, m in prof.pairs},
-                "failures": list(prof.failures),
-                "window_used": prof.window_used,
-                "class_ranges": {str(m): r for m, r in prof.class_ranges},
-            },
-            None,
-        )
-    if verb == "integrate":
-        handle = _sequence_param(p)
-        ladder = parse_ladder(p.get("ladder"))
-        trace = po.haar_integral(handle, ladder)
-        report = {"value": trace.value, "levels": list(trace.levels)}
-        series = ("level,mean", list(zip(trace.levels, trace.means)))
-        return report, series
-    if verb == "sample":
-        levels = parse_ladder(p.get("levels", "factorial"))
-        pt = po.sample_omega(cfg.seed, levels)
-        return (
-            {"levels": list(pt.levels), "residues": list(pt.residues)},
-            None,
-        )
-    raise ConfigError(f"unknown polyadic verb {verb!r}")
+def _run_conv(v, cfg: RunConfig):
+    G = di.convolve_edf(*(di.edf(h.window(v.n)) for h in v.seqs))
+    report = {
+        "atoms": int(G.breakpoints.size),
+        "mean": G.mean(),
+        "values": {str(x): float(G(x)) for x in v.eval},
+    }
+    return report, None
 
 
-def _exp_config(p: dict) -> dict:
-    raw = p.get("config", {})
-    if isinstance(raw, str):
-        text = raw
-        if text.startswith("@"):
-            text = Path(text[1:]).read_text()
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"experiment config is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    return raw
+def _run_polyadic_dist(v, cfg: RunConfig):
+    d = po.polyadic_distance(v.a, v.b)
+    frac = d.as_fraction()
+    report = {
+        "a": v.a,
+        "b": v.b,
+        "exact": f"{frac.numerator}/{frac.denominator}",
+        "decimal": float(d),
+        "display": f"{frac.numerator}/{frac.denominator} = {float(d)}",
+    }
+    return report, None
 
 
-def _family_from(c: dict):
-    if "primes" in c:
-        return ex.vdc_family_primes(int(c["primes"]))
-    if "bases" in c:
-        return ex.vdc_family([int(b) for b in c["bases"]])
+def _run_profile(v, cfg: RunConfig):
+    prof = po.p_continuity_profile(v.seq, v.eps, v.ladder, window_N=v.window)
+    report = {
+        "witnesses": {str(e): m for e, m in prof.pairs},
+        "failures": list(prof.failures),
+        "window_used": prof.window_used,
+        "class_ranges": {str(m): r for m, r in prof.class_ranges},
+    }
+    return report, None
+
+
+def _run_integrate(v, cfg: RunConfig):
+    trace = po.haar_integral(v.seq, v.ladder)
+    report = {"value": trace.value, "levels": list(trace.levels)}
+    return report, ("level,mean", list(zip(trace.levels, trace.means)))
+
+
+def _run_sample(v, cfg: RunConfig):
+    pt = po.sample_omega(cfg.seed, v.levels)
+    return {"levels": list(pt.levels), "residues": list(pt.residues)}, None
+
+
+def _family(c):
+    if c.primes is not None:
+        return ex.vdc_family_primes(c.primes)
+    if c.bases is not None:
+        return ex.vdc_family(c.bases)
     raise ConfigError("experiment config needs 'primes' or 'bases'")
 
 
-def _run_exp(cfg: RunConfig):
-    c = _exp_config(cfg.params)
-    verb = cfg.verb
-    if verb == "niven":
-        rep = ex.niven_ud_test(
-            parse_indices(c.get("indices", {"kind": "identity", "n": 10_000})),
-            M=int(c.get("M", 8)),
-            threshold=float(c.get("threshold", 0.05)),
-        )
-    elif verb == "resample":
-        handle = parse_sequence_spec(c["seq"])
-        v = handle.window(int(c.get("n", 100_000)))
-        rep = ex.resample_invariance(
-            v,
-            parse_indices(c["indices"]),
-            eps=float(c.get("eps", 0.01)),
-            delta=float(c.get("delta", 0.05)),
-        )
-    elif verb == "clt":
-        rep = ex.clt_experiment(
-            _family_from(c),
-            N=int(c.get("n", 10_000)),
-            tolerance=float(c.get("tolerance", 0.05)),
-        )
-    elif verb == "weaklaw":
-        rep = ex.weak_law_experiment(
-            _family_from(c),
-            eps=float(c.get("eps", 0.2)),
-            k_grid=[int(k) for k in c.get("k_grid", [1, 5, 10])],
-            N=int(c.get("n", 10_000)),
-        )
-    elif verb == "metric-ud":
-        rep = ex.metric_ud_experiment(
-            _family_from(c),
-            n_alphas=int(c.get("n_alphas", 20)),
-            seed=cfg.seed,
-            h_max=int(c.get("h_max", 3)),
-            threshold=float(c.get("threshold", 0.25)),
-        )
-    elif verb == "sss":
-        g_names = c.get("g", ["x", "x"])
-        rep = ex.composed_independence_check(
-            _family_from(c),
-            [tuple(_lookup_g(name) for name in g_names)],
-            parse_indices(c.get("indices", {"kind": "identity", "n": 100_000})),
-        )
-    else:
-        raise ConfigError(f"unknown experiment verb {verb!r}")
-    report = {
-        "name": rep.name,
-        "parameters": rep.parameters,
-        "statistics": rep.statistics,
-        "passed": rep.passed,
-        "seed": rep.seed,
-    }
-    headers = {
-        "niven": "modulus,deviation",
-        "resample": None,
-        "clt": "n,kolmogorov_distance",
-        "weaklaw": "k,observed,bound",
-        "metric-ud": "weyl_sum_max",
-        "sss": "tuple,deviation",
-    }
-    header = headers[verb]
-    if header is None or not rep.trace:
-        return report, None
-    rows = [(t,) if not isinstance(t, tuple) else t for t in rep.trace]
-    return report, (header, rows)
+def _experiment(help: str, header: str | None, keys: tuple[Param, ...], run: Callable) -> Verb:
+    """An `exp` verb taking a config object with `keys`; `run(config, cfg)`
+    gives an ExperimentReport, whose trace rows are the series under `header`."""
+
+    def handler(v, cfg: RunConfig):
+        rep = run(v.config, cfg)
+        report = {
+            "name": rep.name,
+            "parameters": rep.parameters,
+            "statistics": rep.statistics,
+            "passed": rep.passed,
+            "seed": rep.seed,
+        }
+        if header is None or not rep.trace:
+            return report, None
+        return report, (header, [t if isinstance(t, tuple) else (t,) for t in rep.trace])
+
+    config = Param("config", (str, dict), "experiment JSON object, or @file", default={},
+                   echo=True, keys=keys)
+    return Verb(help, (config,), handler)
 
 
-_HANDLERS = {
-    "gen": _run_gen,
-    "density": _run_density,
-    "dist": _run_dist,
-    "polyadic": _run_polyadic,
-    "exp": _run_exp,
+_COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
+    "gen": ("generate a sequence window", {None: Verb("", (
+        replace(_SEQ, name="spec"),
+        replace(_N, default=100),
+    ), _run_gen)}),
+    "density": ("density profile, covers and measurability", {None: Verb("", (
+        Param("pred", (str, dict), "predicate spec", required=True, convert=parse_predicate_spec),
+        Param("grid", (str,), 'window grid "A..B" (doubling) or a comma list',
+              default="1e3..1e6", convert=parse_grid),
+        _LADDER,
+        Param("threshold", (int,), "hits that make a residue class persistent",
+              default=de.DEFAULT_THRESHOLD, echo=True),
+        Param("window", (int,), "window of the cover search", least=1,
+              default=lambda r: min(r.grid[-1], 1_000_000)),
+    ), _run_density)}),
+    "dist": ("distribution statistics", {
+        "edf": Verb("step distribution", (_SEQ, _N, _CELLS, _KIND), _run_edf),
+        "moments": Verb("mean, dispersion, stability", (_SEQ, _N, _CELLS, _KIND), _run_moments),
+        "corr": Verb("correlation and regression", (_SEQ, _SEQ2, _N, _CELLS, _KIND), _run_corr),
+        "indep": Verb("independence statistic", (_SEQ, _SEQ2, _N, _CELLS, _KIND), _run_indep),
+        "conv": Verb("convolution of two step distributions", (
+            replace(_N, default=1000),
+            Param("seqs", (list,), "sequence specs", required=True, read=_conv_seqs,
+                  convert=_two_handles, flags={
+                      "--uniform": dict(action="count", help="uniform grid factor (repeatable)"),
+                      "--seq": dict(help="sequence spec"),
+                      "--seq2": dict(help="second sequence spec"),
+                  }),
+            Param("eval", (list,), "comma list of points", default=[0.5, 1.0], items=float),
+        ), _run_conv),
+    }),
+    "polyadic": ("metric, continuity, integration, sampling", {
+        "dist": Verb("exact polyadic distance", (
+            Param("a", (int,), "integer", required=True, flags={"a": dict(nargs="?")}),
+            Param("b", (int,), "integer", required=True, flags={"b": dict(nargs="?")}),
+        ), _run_polyadic_dist),
+        "profile": Verb("congruence-continuity profile", (
+            _SEQ,
+            Param("eps", (list,), "comma list of epsilons", default=[0.1, 0.01], items=float),
+            _LADDER,
+            replace(_N, name="window", default=None, echo=False),
+        ), _run_profile),
+        "integrate": Verb("Haar integral along the ladder", (_SEQ, _LADDER), _run_integrate),
+        "sample": Verb("Haar-uniform residue chain", (
+            replace(_LADDER, name="levels"),
+        ), _run_sample),
+    }),
+    "exp": ("composite experiments", {
+        "niven": _experiment("residue frequencies of indices", "modulus,deviation", (
+            replace(_INDICES, required=False, default={"kind": "identity", "n": 10_000}),
+            Param("M", (int,), "largest modulus", default=8, least=1),
+            Param("threshold", (float,), "deviation threshold", default=0.05),
+        ), lambda c, cfg: ex.niven_ud_test(c.indices, M=c.M, threshold=c.threshold)),
+        "resample": _experiment("mean invariance under resampling", None, (
+            _SEQ,
+            replace(_N, default=100_000),
+            _INDICES,
+            Param("eps", (float,), "mean tolerance", default=0.01),
+            Param("delta", (float,), "continuity budget", default=0.05),
+        ), lambda c, cfg: ex.resample_invariance(
+            c.seq.window(c.n), c.indices, eps=c.eps, delta=c.delta
+        )),
+        "clt": _experiment("central-limit transfer", "n,kolmogorov_distance", (
+            *_FAMILY,
+            _N,
+            Param("tolerance", (float,), "Kolmogorov distance tolerance", default=0.05),
+        ), lambda c, cfg: ex.clt_experiment(_family(c), N=c.n, tolerance=c.tolerance)),
+        "weaklaw": _experiment("weak-law transfer", "k,observed,bound", (
+            *_FAMILY,
+            Param("eps", (float,), "deviation size", default=0.2),
+            Param("k_grid", (list,), "averaging sizes", default=[1, 5, 10], items=int, least=1),
+            _N,
+        ), lambda c, cfg: ex.weak_law_experiment(_family(c), eps=c.eps, k_grid=c.k_grid, N=c.n)),
+        "metric-ud": _experiment("exponential sums at sampled points", "weyl_sum_max", (
+            *_FAMILY,
+            Param("n_alphas", (int,), "sampled points", default=20, least=1),
+            Param("h_max", (int,), "largest frequency", default=3, least=1),
+            Param("threshold", (float,), "flatness threshold", default=0.25),
+        ), lambda c, cfg: ex.metric_ud_experiment(
+            _family(c), n_alphas=c.n_alphas, seed=cfg.seed, h_max=c.h_max, threshold=c.threshold
+        )),
+        "sss": _experiment("product means of composed families", "tuple,deviation", (
+            *_FAMILY,
+            Param("g", (list,), "test function names", default=["x", "x"], items=str,
+                  choices=tuple(_G_REGISTRY),
+                  convert=lambda names: tuple(_G_REGISTRY[g] for g in names)),
+            replace(_INDICES, required=False, default={"kind": "identity", "n": 100_000}),
+        ), lambda c, cfg: ex.composed_independence_check(_family(c), [c.g], c.indices)),
+    }),
 }
 
 
+def _verb(command: str, verb: str | None) -> Verb:
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    verbs = _COMMANDS[command][1]
+    if verb not in verbs:
+        raise ConfigError(f"unknown {command} verb {verb!r}")
+    return verbs[verb]
+
+
 def run(cfg: RunConfig) -> tuple[int, dict]:
-    """Dispatch a validated config; returns (exit_status, full_output_dict)."""
-    if cfg.command not in _HANDLERS:
-        raise ConfigError(f"unknown command {cfg.command!r}")
+    """Validate and dispatch a config; returns (exit_status, full_output_dict)."""
+    spec = _verb(cfg.command, cfg.verb)
     if cfg.fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {cfg.fmt!r}")
-    report, series = _HANDLERS[cfg.command](cfg)
+    report, series = spec.run(_resolve(spec.params, cfg.params), cfg)
     output = {"config": cfg.to_dict(), "report": _jsonable(report)}
     _emit(cfg, output, series)
     return 0, output
@@ -541,10 +667,13 @@ def _emit(cfg: RunConfig, output: dict, series) -> None:
     text = json.dumps(output, sort_keys=True, indent=2) + "\n"
     if cfg.out:
         path = Path(cfg.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        if series is not None:
-            path.with_suffix(".csv").write_text("\n".join(_csv_lines(series)) + "\n")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+            if series is not None:
+                path.with_suffix(".csv").write_text("\n".join(_csv_lines(series)) + "\n")
+        except OSError as e:
+            raise ConfigError(f"cannot write {path}: {e}") from e
     elif cfg.fmt == "csv":
         if series is None:
             raise ConfigError("this verb produces no CSV series; use --format json")
@@ -556,6 +685,7 @@ def _emit(cfg: RunConfig, output: dict, series) -> None:
 # ------------------------------------------------------------------- argparse
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="measeq",
@@ -570,137 +700,51 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tolerance", type=float, default=None,
                     help="override for verdict tolerances")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a sequence window")
-    gen.add_argument("--spec", required=True, help='e.g. {"kind":"vdc","chain":{"ratio":2,"levels":20}}')
-    gen.add_argument("--n", type=int, default=100)
-
-    den = sub.add_parser("density", help="density profile, covers and measurability")
-    den.add_argument("--pred", required=True,
-                     help='APSet JSON {"ap":{"r":2,"m":4}}, "squares", "primes", "blocks", or {"threshold":...}')
-    den.add_argument("--grid", help='window grid "1e3..1e6" (doubling) or comma list')
-    den.add_argument("--ladder", help='"factorial" (default), "primorial", "factorial:K", or comma list')
-    den.add_argument("--threshold", type=int, default=de.DEFAULT_THRESHOLD,
-                     help="persistence threshold for residue classification")
-    den.add_argument("--window", type=int, help="window size for cover search")
-
-    ds = sub.add_parser("dist", help="distribution statistics")
-    ds.add_argument("verb", choices=("edf", "moments", "corr", "indep", "conv"))
-    ds.add_argument("--seq", help="sequence spec JSON")
-    ds.add_argument("--seq2", help="second sequence spec JSON")
-    ds.add_argument("--uniform", action="append_const", dest="uniforms", const=True,
-                    help="use a uniform grid distribution (conv only; repeatable)")
-    ds.add_argument("--n", type=int, default=None,
-                    help="window length (default 10000; 1000 for conv)")
-    ds.add_argument("--cells", type=int, default=10, help="interval grid cells per axis")
-    ds.add_argument("--kind", choices=("interval", "functional"), default="interval")
-    ds.add_argument("--eval", help="comma list of evaluation points (conv)")
-
-    pl = sub.add_parser("polyadic", help="metric, continuity, integration, sampling")
-    pl.add_argument("verb", choices=("dist", "profile", "integrate", "sample"))
-    pl.add_argument("operands", nargs="*", help="integers a b for the dist verb")
-    pl.add_argument("--seq", help="sequence spec JSON")
-    pl.add_argument("--eps", help="comma list of epsilons for profile")
-    pl.add_argument("--ladder", help="ladder spec")
-    pl.add_argument("--levels", help="ladder spec for sampling")
-    pl.add_argument("--window", type=int)
-
-    xp = sub.add_parser("exp", help="composite experiments")
-    xp.add_argument("verb", choices=("niven", "resample", "clt", "weaklaw", "metric-ud", "sss"))
-    xp.add_argument("--config", default="{}", help="experiment JSON (or @file)")
-
+    for command, (text, verbs) in _COMMANDS.items():
+        parser = sub.add_parser(command, help=text)
+        if None not in verbs:
+            by_verb = parser.add_subparsers(dest="verb", required=True)
+        for verb, spec in verbs.items():
+            vp = parser if verb is None else by_verb.add_parser(verb, help=spec.help)
+            for p in spec.params:
+                for flag, kwargs in p.cli_flags().items():
+                    vp.add_argument(flag, **{"help": p.help, **kwargs})
     rr = sub.add_parser("rerun", help="replay an echoed config bit-identically")
     rr.add_argument("file", help="JSON output (or bare config) from a previous run")
     return ap
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    base = dict(
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-        threads=args.threads,
-        tolerance=args.tolerance,
+    verb = getattr(args, "verb", None)
+    params: dict = {}
+    for p in _verb(args.command, verb).params:
+        if p.read is not None:
+            params[p.name] = p.read(args, params)
+        elif getattr(args, p.name) is not None:
+            params[p.name] = _from_text(p, getattr(args, p.name))
+        elif p.echo:
+            params[p.name] = p.default
+    return RunConfig(
+        args.command, verb, params, seed=args.seed, out=args.out, fmt=args.format,
+        threads=args.threads, tolerance=args.tolerance,
     )
-    cmd = args.command
-    if cmd == "gen":
-        return RunConfig("gen", None, {"spec": json.loads(args.spec), "n": args.n}, **base)
-    if cmd == "density":
-        params = {"pred": _maybe_json(args.pred), "threshold": args.threshold}
-        if args.grid:
-            params["grid"] = args.grid
-        if args.ladder:
-            params["ladder"] = args.ladder
-        if args.window:
-            params["window"] = args.window
-        return RunConfig("density", None, params, **base)
-    if cmd == "dist":
-        n = args.n if args.n is not None else (1000 if args.verb == "conv" else 10_000)
-        params: dict = {"n": n}
-        if args.verb == "conv":
-            seqs = []
-            for _ in args.uniforms or []:
-                seqs.append({"kind": "uniform", "n": n})
-            for s in (args.seq, args.seq2):
-                if s:
-                    seqs.append(json.loads(s))
-            params["seqs"] = seqs
-            if args.eval:
-                params["eval"] = [float(x) for x in args.eval.split(",")]
-        else:
-            if args.seq:
-                params["seq"] = json.loads(args.seq)
-            if args.seq2:
-                params["seq2"] = json.loads(args.seq2)
-            params["cells"] = args.cells
-            params["kind"] = args.kind
-        return RunConfig("dist", args.verb, params, **base)
-    if cmd == "polyadic":
-        params = {}
-        if args.verb == "dist":
-            if len(args.operands) != 2:
-                raise ConfigError("polyadic dist needs two integers: a b")
-            params["a"], params["b"] = (int(x) for x in args.operands)
-        if args.seq:
-            params["seq"] = json.loads(args.seq)
-        if args.eps:
-            params["eps"] = [float(x) for x in args.eps.split(",")]
-        if args.ladder:
-            params["ladder"] = args.ladder
-        if args.levels:
-            params["levels"] = args.levels
-        if args.window:
-            params["window"] = args.window
-        return RunConfig("polyadic", args.verb, params, **base)
-    if cmd == "exp":
-        return RunConfig("exp", args.verb, {"config": _maybe_json(args.config)}, **base)
-    raise ConfigError(f"unknown command {cmd!r}")
 
 
-def _maybe_json(text: str):
-    if isinstance(text, str) and text.lstrip().startswith(("{", "[")):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"bad JSON argument: {e}") from e
-    return text
+def _read_rerun(file: str) -> RunConfig:
+    with _reading("rerun file", file):
+        payload = json.loads(Path(file).read_text())
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{file} holds no config object")
+    return RunConfig.from_dict(payload.get("config", payload))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "rerun":
-            payload = json.loads(Path(args.file).read_text())
-            cfg_dict = payload.get("config", payload)
-            status, _ = run(RunConfig.from_dict(cfg_dict))
-            return status
-        cfg = _config_from_args(args)
+        cfg = _read_rerun(args.file) if args.command == "rerun" else _config_from_args(args)
         status, _ = run(cfg)
         return status
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except MeaseqError as e:

@@ -204,13 +204,16 @@ def window_level_set(w, lo: float = -np.inf, hi: float = np.inf) -> Predicate:
     )
 
 
+def _as_predicate(pred) -> Predicate:
+    """A Predicate as is; a plain callable wrapped, so its mask is scalar calls."""
+    return pred if isinstance(pred, Predicate) else Predicate(pred)
+
+
 def count_in_window(pred, N: int) -> int:
     """Exact count of n in [1, N] satisfying the predicate."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if isinstance(pred, Predicate):
-        return int(pred.mask(N).sum())
-    return sum(1 for n in range(1, N + 1) if pred(n))
+    return int(_as_predicate(pred).mask(N).sum())
 
 
 @dataclass
@@ -240,18 +243,8 @@ def asymptotic_density_profile(
     grid = [int(N) for N in grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be nonempty and strictly increasing")
-    if isinstance(pred, Predicate):
-        m = pred.mask(grid[-1])
-        cum = np.cumsum(m)
-        counts = [int(cum[N - 1]) for N in grid]
-    else:
-        counts = []
-        c = 0
-        prev = 0
-        for N in grid:
-            c += sum(1 for n in range(prev + 1, N + 1) if pred(n))
-            counts.append(c)
-            prev = N
+    cum = np.cumsum(_as_predicate(pred).mask(grid[-1]))
+    counts = [int(cum[N - 1]) for N in grid]
     ratios = tuple(c / N for c, N in zip(counts, grid))
     tail = ratios[-max(1, len(ratios) // 3) :]
     lo, hi = min(tail), max(tail)
@@ -276,11 +269,7 @@ def residue_saturation(
 
 
 def _hit_indices(pred, window_N: int) -> np.ndarray:
-    if isinstance(pred, Predicate):
-        return np.flatnonzero(pred.mask(window_N)).astype(np.int64) + 1
-    return np.array(
-        [n for n in range(1, window_N + 1) if pred(n)], dtype=np.int64
-    )
+    return np.flatnonzero(_as_predicate(pred).mask(window_N)).astype(np.int64) + 1
 
 
 def _saturation_from_hits(hits: np.ndarray, m: int, threshold: int) -> Fraction:
@@ -421,12 +410,7 @@ def buck_measurability_check(
         raise DiagnosticError(
             f"window {window_N} cannot classify residues at any ladder level"
         )
-    if isinstance(pred, Predicate):
-        mask = pred.mask(window_N)
-    else:
-        mask = np.fromiter(
-            (pred(n) for n in range(1, window_N + 1)), dtype=bool, count=window_N
-        )
+    mask = _as_predicate(pred).mask(window_N)
     hits_s = np.flatnonzero(mask).astype(np.int64) + 1
     hits_c = np.flatnonzero(~mask).astype(np.int64) + 1
     up_s, up_c, gaps = [], [], []

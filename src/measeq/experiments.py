@@ -16,9 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dist import _default_grid, cell_deviations, cell_index, moments, sup_norm
-from .errors import DiagnosticError, GateError
+from .errors import ContinuityBudgetError, DiagnosticError, GateError
 from .polyadic import FACTORIAL_LADDER, extend_eval, sample_omega, weak_continuity_profile
-from .errors import ContinuityBudgetError
 from .primes import first_primes
 from .seqgen import BaseChain, SequenceWindow, VdcSequence, subsequence
 

@@ -1,12 +1,17 @@
 """CLI integration tests: verbs, exit codes, output schema, reproducibility."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from measeq import cli
 from measeq.cli import main, parse_ladder
 from measeq.density import FACTORIAL_LADDER, APSet
+from measeq.dist import DEFAULT_TEST_FAMILY
 
 
 def run_json(capsys, argv):
@@ -163,6 +168,15 @@ class TestExp:
         assert out["report"]["passed"] is True
 
 
+BAD_RERUNS = {
+    "density-no-params.json": {"command": "density", "params": {}},
+    "n-abc.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}, "n": "abc"}},
+    "n-list.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}, "n": [1]}},
+    "undeclared.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}, "m": 1}},
+    "list.json": [1, 2],
+}
+
+
 class TestExitCodes:
     def test_bad_json_is_config_error(self, capsys):
         assert main(["gen", "--spec", "{not json"]) == 2
@@ -212,6 +226,41 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["run refused: cover misses window elements [1, 4, 9, 16, 25]"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["polyadic", "dist", "0", "x"],
+            ["polyadic", "profile", "--seq", '{"kind":"vdc"}', "--eps", "a"],
+            ["dist", "conv", "--uniform", "--uniform", "--eval", "a"],
+            ["exp", "resample", "--config", "{}"],
+            ["exp", "resample", "--config", '{"seq":{"kind":"vdc"}}'],
+            ["rerun", "density-no-params.json"],
+            ["rerun", "n-abc.json"],
+            ["rerun", "n-list.json"],
+            ["rerun", "undeclared.json"],
+            ["exp", "clt", "--config", '{"primes":3,"x":1}'],
+            ["density", "--pred", '{"ap":{"r":1,"m":0}}'],
+            ["density", "--pred", '{"ap":{"r":1}}'],
+            ["gen", "--spec", '{"kind":"vdc","chain":{"ratio":1}}'],
+            ["gen", "--spec", '{"kind":"periodic"}'],
+            ["gen", "--spec", '{"kind":"vdc"}', "--n", "0"],
+            ["gen", "--spec", '{"kind":"vdc"}', "--n", "-5"],
+            ["density", "--pred", "squares", "--ladder", "0,6"],
+            ["density", "--pred", "squares", "--grid", "5,3"],
+            ["exp", "clt", "--config", "@nofile.json"],
+            ["rerun", "missing.json"],
+            ["rerun", "list.json"],
+            ["--out", "list.json/run.json", "gen", "--spec", '{"kind":"vdc"}'],
+        ],
+    )
+    def test_bad_input_is_one_line_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, content in BAD_RERUNS.items():
+            Path(name).write_text(json.dumps(content))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
     def test_unknown_verb_exits_two(self):
         with pytest.raises(SystemExit) as e:
             main(["dist", "nonsense"])
@@ -240,3 +289,169 @@ class TestRoundTrip:
         first = out.read_bytes()
         main(["rerun", str(out)])
         assert out.read_bytes() == first
+
+
+def _config(command, verb, params, **globals_):
+    return {"command": command, "verb": verb, "params": params, "seed": 0, "out": "run.json",
+            "fmt": "json", "threads": 1, "tolerance": None, **globals_}
+
+
+VDC7 = '{"kind":"vdc","chain":{"ratio":7,"levels":1}}'
+VDC5 = '{"kind":"vdc","chain":{"ratio":5,"levels":1}}'
+FACT6 = '{"kind":"vdc","chain":{"factorial":6}}'
+CELLS = {"cells": 10, "kind": "interval"}
+
+# One argv per (command, verb, echoed key set) of the benchmark's CLI jobs, at
+# small sizes, with the config each echoes; rerun files replay these bytes.
+ECHOES = [
+    (["density", "--pred", "blocks", "--window", "2000", "--grid", "1e3..2000"],
+     _config("density", None, {"grid": "1e3..2000", "pred": "blocks", "threshold": 3, "window": 2000})),
+    (["density", "--pred", "squares", "--window", "3000", "--grid", "1e3..3000", "--ladder", "primorial"],
+     _config("density", None, {"grid": "1e3..3000", "ladder": "primorial", "pred": "squares",
+                               "threshold": 3, "window": 3000})),
+    (["exp", "weaklaw", "--config", '{"primes":4,"n":2000,"k_grid":[1,2,4],"eps":0.25}'],
+     _config("exp", "weaklaw", {"config": {"primes": 4, "n": 2000, "k_grid": [1, 2, 4], "eps": 0.25}})),
+    (["exp", "clt", "--config", '{"bases":[2,3,5],"n":4000}'],
+     _config("exp", "clt", {"config": {"bases": [2, 3, 5], "n": 4000}})),
+    (["exp", "sss", "--config", '{"bases":[2,3],"g":["x^2","x"],"indices":{"kind":"pair_swap","n":2000}}'],
+     _config("exp", "sss", {"config": {"bases": [2, 3], "g": ["x^2", "x"],
+                                       "indices": {"kind": "pair_swap", "n": 2000}}})),
+    (["exp", "resample", "--config",
+      '{"seq":' + FACT6 + ',"n":81000,"indices":{"kind":"pair_swap","n":1000},"eps":0.05}'],
+     _config("exp", "resample", {"config": {"seq": {"kind": "vdc", "chain": {"factorial": 6}}, "n": 81000,
+                                            "indices": {"kind": "pair_swap", "n": 1000}, "eps": 0.05}})),
+    (["exp", "niven", "--config", '{"indices":{"kind":"even","n":1000},"M":5}'],
+     _config("exp", "niven", {"config": {"indices": {"kind": "even", "n": 1000}, "M": 5}})),
+    (["dist", "edf", "--seq", '{"kind":"vdc","chain":{"ratio":2,"levels":5}}', "--n", "50"],
+     _config("dist", "edf", {"n": 50, "seq": {"kind": "vdc", "chain": {"ratio": 2, "levels": 5}}, **CELLS})),
+    (["dist", "conv", "--uniform", "--uniform", "--n", "50", "--eval", "0.088,0.891"],
+     _config("dist", "conv", {"eval": [0.088, 0.891], "n": 50,
+                              "seqs": [{"kind": "uniform", "n": 50}, {"kind": "uniform", "n": 50}]})),
+    (["gen", "--spec", '{"kind":"vdc","chain":{"ratio":2,"levels":8}}', "--n", "50"],
+     _config("gen", None, {"n": 50, "spec": {"kind": "vdc", "chain": {"ratio": 2, "levels": 8}}})),
+    (["--seed", "63004043", "exp", "metric-ud", "--config", '{"primes":5,"n_alphas":4}'],
+     _config("exp", "metric-ud", {"config": {"primes": 5, "n_alphas": 4}}, seed=63004043)),
+    (["dist", "moments", "--seq", VDC7, "--n", "1000"],
+     _config("dist", "moments", {"n": 1000, "seq": json.loads(VDC7), **CELLS})),
+    (["dist", "corr", "--seq", VDC7, "--seq2", VDC5, "--n", "1000"],
+     _config("dist", "corr", {"n": 1000, "seq": json.loads(VDC7), "seq2": json.loads(VDC5), **CELLS})),
+    (["dist", "indep", "--kind", "functional", "--seq", VDC7, "--seq2", VDC5, "--n", "1000"],
+     _config("dist", "indep", {"cells": 10, "kind": "functional", "n": 1000,
+                               "seq": json.loads(VDC7), "seq2": json.loads(VDC5)})),
+    (["polyadic", "integrate", "--seq", '{"kind":"vdc","chain":{"ratio":5,"levels":10}}', "--ladder", "factorial"],
+     _config("polyadic", "integrate", {"ladder": "factorial",
+                                       "seq": {"kind": "vdc", "chain": {"ratio": 5, "levels": 10}}})),
+    (["polyadic", "profile", "--seq", FACT6, "--eps", "0.2,0.01,0.001", "--window", "81000"],
+     _config("polyadic", "profile", {"eps": [0.2, 0.01, 0.001], "seq": json.loads(FACT6), "window": 81000})),
+    (["--seed", "371296", "polyadic", "sample", "--levels", "factorial"],
+     _config("polyadic", "sample", {"levels": "factorial"}, seed=371296)),
+    (["polyadic", "dist", "134", "1156"], _config("polyadic", "dist", {"a": 134, "b": 1156})),
+    (["--format", "csv", "gen", "--spec", '{"kind":"vdc"}', "--n", "4"],
+     _config("gen", None, {"n": 4, "spec": {"kind": "vdc"}}, fmt="csv")),
+    (["polyadic", "dist", "0", "6"], _config("polyadic", "dist", {"a": 0, "b": 6})),
+]
+
+
+class TestEcho:
+    @pytest.mark.parametrize("argv, config", ECHOES)
+    def test_echoed_config_and_rerun(self, tmp_path, monkeypatch, argv, config):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out", "run.json", *argv]) == 0
+        first = Path("run.json").read_bytes()
+        assert json.loads(first)["config"] == config
+        assert main(["rerun", "run.json"]) == 0
+        assert Path("run.json").read_bytes() == first
+
+
+def _wrong_type(p):
+    """A JSON value of none of the parameter's types."""
+    return 5 if str in p.types else "x"
+
+
+def _rerun_cases():
+    """For every declared parameter (and experiment config key) of every verb:
+    a valid echoed config with that parameter deleted when it is required,
+    and with its value of a wrong JSON type."""
+    bases = {(c["command"], c["verb"]): c for _, c in ECHOES}
+    for command, (_, verbs) in cli._COMMANDS.items():
+        for verb, spec in verbs.items():
+            for p in spec.params:
+                for q, in_config in [(p, False)] + [(k, True) for k in p.keys]:
+                    for case in ("missing", "mistyped") if q.required else ("mistyped",):
+                        changed = json.loads(json.dumps(bases[command, verb]))
+                        into = changed["params"]["config"] if in_config else changed["params"]
+                        into.pop(q.name, None)
+                        if case == "mistyped":
+                            into[q.name] = _wrong_type(q)
+                        yield pytest.param(changed, q.name, id=f"{command}-{verb}-{q.name}-{case}")
+
+
+class TestRerunValidation:
+    def test_every_verb_has_a_pinned_echo(self):
+        pinned = {(c["command"], c["verb"]) for _, c in ECHOES}
+        assert pinned == {(c, v) for c, (_, verbs) in cli._COMMANDS.items() for v in verbs}
+
+    @pytest.mark.parametrize("config, name", list(_rerun_cases()))
+    def test_missing_or_mistyped_param_is_config_error(self, tmp_path, capsys, config, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["rerun", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert name in err[0] or name.upper() in err[0]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _examples(doc):
+    """The `measeq ...` lines of the README CLI block or the man page EXAMPLES."""
+    text = (ROOT / doc).read_text()
+    if doc == "README.md":
+        text = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    else:
+        text = text.split("## EXAMPLES", 1)[1]
+    lines = (shlex.split(line, comments=True) for line in text.replace("\\\n", " ").splitlines())
+    return [argv[1:] for argv in lines if argv[:1] == ["measeq"]]
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/measeq.1.md"])
+def test_documented_examples_run(tmp_path, monkeypatch, capsys, doc):
+    monkeypatch.chdir(tmp_path)
+    examples = _examples(doc)
+    assert len(examples) >= 5
+    for argv in examples:
+        assert main(argv) == 0, argv
+
+
+def _man_page_entries():
+    """(command, verb) -> the flags (and config keys) its man page entry lists."""
+    man = (ROOT / "docs" / "measeq.1.md").read_text()
+    entries = {}
+    for section in man.split("\n### ")[1:]:
+        command = section.split("\n", 1)[0].strip()
+        for term in re.findall(r"^`([^`\n]+)`\n: ", section, flags=re.M):
+            head = term.split()[0]
+            verb = None if head == command else head
+            keys = re.search(r"\{(.*)\}", term)
+            entries[command, verb] = (
+                set(re.findall(r"--[\w-]+", term)),
+                set(re.split(r"[|,\s]+", keys.group(1))) if keys else set(),
+            )
+    return entries
+
+
+def test_man_page_documents_the_table_flags():
+    table = {}
+    for command, (_, verbs) in cli._COMMANDS.items():
+        for verb, spec in verbs.items():
+            flags = {f for p in spec.params for f in p.cli_flags() if f.startswith("--")}
+            keys = {k.name for p in spec.params for k in p.keys}
+            table[command, verb] = (flags, keys)
+    assert _man_page_entries() == table
+
+
+def test_g_registry_reuses_the_test_family():
+    assert list(cli._G_REGISTRY) == ["x", "x^2", "x^3", "1-x", "one"]
+    family = dict(DEFAULT_TEST_FAMILY)
+    assert all(cli._G_REGISTRY[name] is family[name] for name in ("x", "x^2", "x^3"))
