@@ -707,8 +707,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for verb, spec in verbs.items():
             vp = parser if verb is None else by_verb.add_parser(verb, help=spec.help)
             for p in spec.params:
+                text = f"{p.help} (required)" if p.required else p.help
                 for flag, kwargs in p.cli_flags().items():
-                    vp.add_argument(flag, **{"help": p.help, **kwargs})
+                    vp.add_argument(flag, **{"help": text, **kwargs})
     rr = sub.add_parser("rerun", help="replay an echoed config bit-identically")
     rr.add_argument("file", help="JSON output (or bare config) from a previous run")
     return ap
