@@ -179,6 +179,14 @@ def parse_ladder(text: str) -> tuple[int, ...]:
         return tuple(_count(int(float(x))) for x in text.split(","))
 
 
+def parse_chain(text: str) -> tuple[int, ...]:
+    """A ladder that increases by divisibility, as `sample_omega` needs."""
+    levels = parse_ladder(text)
+    with _reading("levels", text):
+        po.ladder_steps(levels)
+    return levels
+
+
 def parse_grid(text: str) -> tuple[int, ...]:
     """Either 'A..B' (doubling from A up to B) or an increasing comma list."""
     with _reading("grid", text):
@@ -253,6 +261,8 @@ class Param:
     """A verb's parameter: flag `--name` and key in the echoed params (or the
     experiment config), holding JSON of `types` (a list of `items`) within
     `choices` and `least`, which `convert` turns into the handler's value.
+    A list holds at least `min_items` items, and exactly `n_items(resolved)`
+    where that function of the values resolved before it is not None.
     An absent one takes `default` (echoed form, or a function of the values
     resolved before it), echoed from the command line only if `echo` is set.
     `flags` and `read(args, params)` replace `--name` where argv differs."""
@@ -266,6 +276,8 @@ class Param:
     items: type | None = None
     choices: tuple = ()
     least: int | None = None
+    min_items: int = 0
+    n_items: Callable | None = None
     convert: Callable | None = None
     flags: dict | None = None
     read: Callable | None = None
@@ -282,7 +294,7 @@ class Param:
 @dataclass(frozen=True)
 class Verb:
     """A verb's parameters and its handler: (resolved params, RunConfig) ->
-    (report, CSV series or None)."""
+    (report, CSV series or None); a series is (header, columns)."""
 
     help: str
     params: tuple[Param, ...]
@@ -303,10 +315,15 @@ def _typed(value, types: tuple[type, ...], label: str):
     return value
 
 
-def _check(p: Param, value, label: str):
+def _check(p: Param, value, label: str, resolved: SimpleNamespace):
     value = _typed(value, p.types, label)
     if p.items:
         value = [_typed(x, (p.items,), f"{label} item") for x in value]
+        if len(value) < p.min_items:
+            raise ConfigError(f"bad {label}: need {p.min_items} or more items, got {len(value)}")
+        want = p.n_items(resolved) if p.n_items else None
+        if want is not None and len(value) != want:
+            raise ConfigError(f"bad {label}: need {want} items ({p.help}), got {len(value)}")
     for x in value if p.items else [value]:
         if p.choices and x not in p.choices:
             raise ConfigError(f"bad {label}: expected one of {list(p.choices)}, got {x!r}")
@@ -332,7 +349,7 @@ def _resolve(params: tuple[Param, ...], given: dict, where: str = "--") -> Simpl
         else:
             value = p.default(out) if callable(p.default) else p.default
         if value is not None:
-            value = _check(p, value, label)
+            value = _check(p, value, label, out)
             if p.keys:
                 value = _resolve(p.keys, _exp_config(value), f"{label} key ")
             elif p.convert is not None:
@@ -365,7 +382,7 @@ _LADDER = Param("ladder", (str,), 'modulus ladder: "factorial", "primorial", "fa
                 "or a comma list", default="factorial", convert=parse_ladder)
 _INDICES = Param("indices", (list, dict), "index spec", required=True, convert=parse_indices)
 _FAMILY = (Param("primes", (int,), "family over the first K primes", least=1),
-           Param("bases", (list,), "family over these bases", items=int, least=2))
+           Param("bases", (list,), "family over these bases", items=int, least=2, min_items=1))
 
 
 def _conv_seqs(args: argparse.Namespace, params: dict) -> list:
@@ -386,8 +403,7 @@ def _run_gen(v, cfg: RunConfig):
         "mean": float(w.values.mean()),
         "bounds": list(w.bounds),
     }
-    series = ("n,value", [(i + 1, x) for i, x in enumerate(w.values.tolist())])
-    return report, series
+    return report, ("n,value", [range(1, len(w) + 1), w.values.tolist()])
 
 
 def _run_density(v, cfg: RunConfig):
@@ -420,18 +436,14 @@ def _run_density(v, cfg: RunConfig):
         "gap": float(meas.gap),
         "measurable": meas.measurable,
     }
-    series = ("N,ratio", list(zip(est.window_grid, est.ratios)))
-    return report, series
+    return report, ("N,ratio", [est.window_grid, est.ratios])
 
 
 def _run_edf(v, cfg: RunConfig):
     F = di.edf(v.seq.window(v.n))
     report = {"points": int(F.breakpoints.size), "mean": F.mean()}
-    series = (
-        "x,mass_below,mass_upto",
-        [(x, float(F(x)), float(c)) for x, c in zip(F.breakpoints.tolist(), F.cum.tolist())],
-    )
-    return report, series
+    columns = [F.breakpoints.tolist(), F(F.breakpoints).tolist(), F.cum.tolist()]
+    return report, ("x,mass_below,mass_upto", columns)
 
 
 def _run_moments(v, cfg: RunConfig):
@@ -465,7 +477,7 @@ def _run_indep(v, cfg: RunConfig):
         "threshold": rep.verdict_threshold,
         "passed": rep.passed,
     }
-    return report, ("g,g1,deviation", list(rep.table))
+    return report, ("g,g1,deviation", list(zip(*rep.table)))
 
 
 def _run_conv(v, cfg: RunConfig):
@@ -505,12 +517,19 @@ def _run_profile(v, cfg: RunConfig):
 def _run_integrate(v, cfg: RunConfig):
     trace = po.haar_integral(v.seq, v.ladder)
     report = {"value": trace.value, "levels": list(trace.levels)}
-    return report, ("level,mean", list(zip(trace.levels, trace.means)))
+    return report, ("level,mean", [trace.levels, trace.means])
 
 
 def _run_sample(v, cfg: RunConfig):
     pt = po.sample_omega(cfg.seed, v.levels)
     return {"levels": list(pt.levels), "residues": list(pt.residues)}, None
+
+
+def _members(c) -> int | None:
+    """Size of the family that `_family` builds from the keys resolved so far."""
+    if c.primes is not None:
+        return c.primes
+    return None if c.bases is None else len(c.bases)
 
 
 def _family(c):
@@ -536,7 +555,8 @@ def _experiment(help: str, header: str | None, keys: tuple[Param, ...], run: Cal
         }
         if header is None or not rep.trace:
             return report, None
-        return report, (header, [t if isinstance(t, tuple) else (t,) for t in rep.trace])
+        columns = list(zip(*rep.trace)) if isinstance(rep.trace[0], tuple) else [rep.trace]
+        return report, (header, columns)
 
     config = Param("config", (str, dict), "experiment JSON object, or @file", default={},
                    echo=True, keys=keys)
@@ -587,7 +607,8 @@ _COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
         ), _run_profile),
         "integrate": Verb("Haar integral along the ladder", (_SEQ, _LADDER), _run_integrate),
         "sample": Verb("Haar-uniform residue chain", (
-            replace(_LADDER, name="levels"),
+            replace(_LADDER, name="levels", convert=parse_chain, help='divisibility chain: '
+                    '"factorial", "primorial", "factorial:K" or a comma list'),
         ), _run_sample),
     }),
     "exp": ("composite experiments", {
@@ -613,7 +634,8 @@ _COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
         "weaklaw": _experiment("weak-law transfer", "k,observed,bound", (
             *_FAMILY,
             Param("eps", (float,), "deviation size", default=0.2),
-            Param("k_grid", (list,), "averaging sizes", default=[1, 5, 10], items=int, least=1),
+            Param("k_grid", (list,), "averaging sizes", default=[1, 5, 10], items=int, least=1,
+                  min_items=1),
             _N,
         ), lambda c, cfg: ex.weak_law_experiment(_family(c), eps=c.eps, k_grid=c.k_grid, N=c.n)),
         "metric-ud": _experiment("exponential sums at sampled points", "weyl_sum_max", (
@@ -626,8 +648,8 @@ _COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
         )),
         "sss": _experiment("product means of composed families", "tuple,deviation", (
             *_FAMILY,
-            Param("g", (list,), "test function names", default=["x", "x"], items=str,
-                  choices=tuple(_G_REGISTRY),
+            Param("g", (list,), "test function names, one per member", default=["x", "x"],
+                  items=str, choices=tuple(_G_REGISTRY), n_items=_members,
                   convert=lambda names: tuple(_G_REGISTRY[g] for g in names)),
             replace(_INDICES, required=False, default={"kind": "identity", "n": 100_000}),
         ), lambda c, cfg: ex.composed_independence_check(_family(c), [c.g], c.indices)),
@@ -655,12 +677,14 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     return 0, output
 
 
+def _cell(x) -> str:
+    return repr(x) if isinstance(x, float) else str(x)
+
+
 def _csv_lines(series) -> list[str]:
-    header, rows = series
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    return lines
+    header, columns = series
+    cells = (map(_cell, column) for column in columns)
+    return [header, *map(",".join, zip(*cells))]
 
 
 def _emit(cfg: RunConfig, output: dict, series) -> None:

@@ -28,7 +28,8 @@ class EDF:
     """Step distribution: breakpoints x_1 < ... < x_J with cumulative masses.
 
     cum[j] is the total mass at breakpoints up to and including x_j, so
-    F(x) = cum[#breakpoints < x] with F(x) = 0 left of x_1.
+    F(x) = cum[#breakpoints < x] with F(x) = 0 left of x_1.  `padded` is cum
+    behind a leading 0, so a searchsorted index reads F directly.
     """
 
     breakpoints: np.ndarray
@@ -36,17 +37,19 @@ class EDF:
 
     def __init__(self, breakpoints, cum):
         bp = np.asarray(breakpoints, dtype=float).copy()
-        cm = np.asarray(cum, dtype=float).copy()
+        cm = np.asarray(cum, dtype=float)
         if bp.ndim != 1 or bp.size < 1 or bp.size != cm.size:
             raise ValueError("breakpoints and cum must be equal-length 1-d arrays")
         if not (np.diff(bp) > 0).all():
             raise ValueError("breakpoints must be strictly increasing")
         if (np.diff(cm) < 0).any() or abs(cm[-1] - 1.0) > 1e-9:
             raise ValueError("cum must be nondecreasing with final mass 1")
+        padded = np.concatenate(([0.0], cm))
         bp.setflags(write=False)
-        cm.setflags(write=False)
+        padded.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "cum", cm)
+        object.__setattr__(self, "cum", padded[1:])
+        object.__setattr__(self, "padded", padded)
 
     @classmethod
     def from_values(cls, values) -> "EDF":
@@ -64,16 +67,12 @@ class EDF:
 
     def __call__(self, x) -> float | np.ndarray:
         """Mass strictly below x."""
-        idx = np.searchsorted(self.breakpoints, x, side="left")
-        padded = np.concatenate(([0.0], self.cum))
-        out = padded[idx]
+        out = self.padded[np.searchsorted(self.breakpoints, x, side="left")]
         return float(out) if np.isscalar(x) else out
 
     def mass_upto(self, x) -> float | np.ndarray:
         """Mass at or below x (the right limit F(x+))."""
-        idx = np.searchsorted(self.breakpoints, x, side="right")
-        padded = np.concatenate(([0.0], self.cum))
-        out = padded[idx]
+        out = self.padded[np.searchsorted(self.breakpoints, x, side="right")]
         return float(out) if np.isscalar(x) else out
 
     def mean(self) -> float:

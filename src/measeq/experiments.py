@@ -17,7 +17,14 @@ import numpy as np
 
 from .dist import _default_grid, cell_deviations, cell_index, moments, sup_norm
 from .errors import ContinuityBudgetError, DiagnosticError, GateError
-from .polyadic import FACTORIAL_LADDER, extend_eval, sample_omega, weak_continuity_profile
+from .polyadic import (
+    FACTORIAL_LADDER,
+    OmegaPoint,
+    _dividing_level,
+    extend_eval,
+    sample_omega,
+    weak_continuity_profile,
+)
 from .primes import first_primes
 from .seqgen import BaseChain, SequenceWindow, VdcSequence, subsequence
 
@@ -262,6 +269,20 @@ def _family_bases(family) -> list[int]:
     return bases
 
 
+def _extended_terms(
+    h, alphas: list[OmegaPoint], levels: tuple[int, ...], eps: float
+) -> np.ndarray:
+    """`extend_eval(h, alpha, eps)` at every alpha on the ladder `levels`.
+    For a radical-inverse handle the witness and the first level it divides
+    depend on (h, eps) only: they are found once, and h is evaluated at all
+    residues in one digit pass."""
+    m = h.witness(eps) if isinstance(h, VdcSequence) else None
+    if m is None:
+        return np.array([extend_eval(h, alpha, eps) for alpha in alphas], dtype=float)
+    k = _dividing_level(levels, m)
+    return h.values_at(np.array([alpha.residues[k] % m for alpha in alphas], dtype=np.int64))
+
+
 def metric_ud_experiment(
     family,
     n_alphas: int,
@@ -296,12 +317,12 @@ def metric_ud_experiment(
     for b in bases:
         product *= b
     levels = tuple(product**i for i in range(1, depth + 1))
+    alphas = [sample_omega(seed * 1_000_003 + i, levels) for i in range(n_alphas)]
+    terms = np.empty((n_alphas, N_terms))
+    for t, h in enumerate(family[:N_terms]):
+        terms[:, t] = _extended_terms(h, alphas, levels, eval_eps)
     per_alpha = []
-    for i in range(n_alphas):
-        alpha = sample_omega(seed * 1_000_003 + i, levels)
-        vals = np.array(
-            [extend_eval(h, alpha, eval_eps) for h in family[:N_terms]], dtype=float
-        )
+    for vals in terms:
         worst = max(
             float(np.abs(np.exp(2j * np.pi * h * vals).mean()))
             for h in range(1, h_max + 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ __all__ = [
     "period_mean",
     "haar_integral",
     "sample_omega",
+    "ladder_steps",
     "extend_eval",
     "FACTORIAL_LADDER",
 ]
@@ -101,6 +102,24 @@ def polyadic_distance(a: int, b: int) -> DyadicRational:
     return DyadicRational(num, d)
 
 
+@lru_cache(maxsize=64)
+def ladder_steps(levels: tuple[int, ...]) -> tuple[int, ...]:
+    """Step ratios b // a of a ladder that increases by divisibility; ValueError
+    at the first step that does not.  Cached: sampled points share ladders."""
+    for a, b in zip(levels, levels[1:]):
+        if b <= a or b % a:
+            raise ValueError(f"levels must increase by divisibility ({a} -> {b})")
+    return tuple(b // a for a, b in zip(levels, levels[1:]))
+
+
+def _dividing_level(levels: Sequence[int], m: int) -> int:
+    """Index of the first ladder level divisible by m."""
+    for i, lev in enumerate(levels):
+        if lev % m == 0:
+            return i
+    raise ResolutionError(f"no ladder level is divisible by {m}", needed=m)
+
+
 @dataclass(frozen=True)
 class OmegaPoint:
     """Coherent residue chain along a divisibility ladder of levels."""
@@ -112,9 +131,7 @@ class OmegaPoint:
         lv, rs = self.levels, self.residues
         if not lv or len(lv) != len(rs):
             raise ValueError("levels and residues must be equal-length and nonempty")
-        for a, b in zip(lv, lv[1:]):
-            if b <= a or b % a:
-                raise ValueError(f"levels must increase by divisibility ({a} -> {b})")
+        ladder_steps(tuple(lv))
         for m, r in zip(lv, rs):
             if not 0 <= r < m:
                 raise ValueError(f"residue {r} out of range for level {m}")
@@ -124,10 +141,7 @@ class OmegaPoint:
 
     def residue_mod(self, m: int) -> int:
         """The point's residue mod m, for any m dividing some ladder level."""
-        for lev, r in zip(self.levels, self.residues):
-            if lev % m == 0:
-                return r % m
-        raise ResolutionError(f"no ladder level is divisible by {m}", needed=m)
+        return self.residues[_dividing_level(self.levels, m)] % m
 
 
 def sample_omega(seed: int, ladder: Sequence[int]) -> OmegaPoint:
@@ -140,8 +154,8 @@ def sample_omega(seed: int, ladder: Sequence[int]) -> OmegaPoint:
     levels = tuple(int(m) for m in ladder)
     r = rng.randrange(levels[0])
     residues = [r]
-    for prev, nxt in zip(levels, levels[1:]):
-        r = r + prev * rng.randrange(nxt // prev)
+    for prev, step in zip(levels, ladder_steps(levels)):
+        r = r + prev * rng.randrange(step)
         residues.append(r)
     return OmegaPoint(levels, tuple(residues))
 

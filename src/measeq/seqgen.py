@@ -9,6 +9,8 @@ arbitrary indices (the polyadic module relies on the handles).
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Iterable, Mapping
@@ -22,7 +24,11 @@ from .errors import (
     SpecificationError,
     WindowRangeError,
 )
-from .primes import distinct_prime_factors, is_prime, primes_upto
+from .primes import distinct_prime_factors, is_prime, prime_mask, primes_upto
+
+# spec keys in [0, this] are checked against one sieve (at most 16 MB of
+# flags), other keys by trial division
+_SPEC_SIEVE_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -120,16 +126,21 @@ class VdcSequence:
         self.chain = self.chain.ensure_capacity(n)
         return gen_vdc(n, self.chain)
 
-    def window(self, N: int) -> "SequenceWindow":
-        self.chain = self.chain.ensure_capacity(N)
+    def values_at(self, ns: np.ndarray) -> np.ndarray:
+        """Values at an int64 array of indices n >= 0, one pass per chain digit."""
+        top = int(ns.max()) if ns.size else 0
+        self.chain = self.chain.ensure_capacity(top)
         q = self.chain.moduli
-        ns = np.arange(1, N + 1, dtype=np.int64)
-        vals = np.zeros(N, dtype=float)
+        vals = np.zeros(ns.shape, dtype=float)
         for j in range(len(q) - 1):
-            if q[j] > N:
+            if q[j] > top:
                 break
             base = q[j + 1] // q[j]
             vals += (ns // q[j]) % base / q[j + 1]
+        return vals
+
+    def window(self, N: int) -> "SequenceWindow":
+        vals = self.values_at(np.arange(1, N + 1, dtype=np.int64))
         return SequenceWindow(vals, bounds=(0.0, 1.0), generator=self)
 
     def witness(self, eps: float) -> int | None:
@@ -146,6 +157,15 @@ class VdcSequence:
             if 1 / q <= eps:
                 return q
         return None
+
+
+def _prime_flags(keys: list[int]):
+    """Primality of each key of an ascending list, lazily: keys in
+    [0, _SPEC_SIEVE_LIMIT] from one sieve up to the largest of them, the
+    others by trial division."""
+    lo, hi = bisect_left(keys, 0), bisect_right(keys, _SPEC_SIEVE_LIMIT)
+    sieved = prime_mask(keys[hi - 1])[keys[lo:hi]].tolist() if hi > lo else []
+    return itertools.chain(map(is_prime, keys[:lo]), sieved, map(is_prime, keys[hi:]))
 
 
 @dataclass(frozen=True)
@@ -168,8 +188,8 @@ class AdditiveFunctionSpec:
             items = prime_values
         pairs = tuple(sorted((int(p), float(v)) for p, v in items))
         seen_nonzero = set()
-        for p, v in pairs:
-            if not is_prime(p):
+        for (p, v), prime in zip(pairs, _prime_flags([p for p, _ in pairs])):
+            if not prime:
                 raise SpecificationError(f"{p} is not prime")
             if v < 0:
                 raise SpecificationError(f"f({p}) = {v} is negative")

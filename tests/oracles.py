@@ -1,8 +1,10 @@
 """Independent brute-force reference implementations for window statistics.
 
 Everything here is plain-Python double loops over raw value lists, apart from
-the cover oracle, which keeps the per-class straggler loop that
-`buck_upper_per_level` ran before it grouped stragglers in one pass.
+the per-point paths that vectorized kernels replaced, kept as they were: the
+per-class straggler loop of `buck_upper_per_level`, the per-breakpoint EDF
+series, the per-row CSV formatter, the per-key primality check of an additive
+spec and the per-(member, point) `extend_eval` loop of the metric experiment.
 """
 
 import math
@@ -11,6 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from measeq.density import APSet, CoverCertificate
+from measeq.polyadic import extend_eval, sample_omega
+from measeq.primes import is_prime
 
 
 def mean_oracle(vals):
@@ -164,3 +168,52 @@ def buck_upper_per_level_oracle(pred, ladder, window_N, threshold, require_recen
                     cost += Fraction(k, big_m)
         out.append(CoverCertificate(APSet(pairs), cost, window_N, m))
     return out
+
+
+def edf_series_oracle(F):
+    # one scalar F(x) per breakpoint, each rebuilding the zero-padded cumulative
+    rows = []
+    for x, c in zip(F.breakpoints.tolist(), F.cum.tolist()):
+        padded = np.concatenate(([0.0], F.cum))
+        below = float(padded[np.searchsorted(F.breakpoints, x, side="left")])
+        rows.append((x, below, float(c)))
+    return rows
+
+
+def csv_lines_oracle(header, rows):
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    return lines
+
+
+def additive_spec_oracle(items):
+    # trial-divide every key, in sorted order; the first bad pair's message, or the pairs
+    pairs = tuple(sorted((int(p), float(v)) for p, v in items))
+    seen_nonzero = set()
+    for p, v in pairs:
+        if not is_prime(p):
+            return f"{p} is not prime"
+        if v < 0:
+            return f"f({p}) = {v} is negative"
+        if v != 0.0:
+            if v in seen_nonzero:
+                return f"duplicate prime value {v}"
+            seen_nonzero.add(v)
+    return pairs
+
+
+def metric_ud_trace_oracle(family, n_alphas, seed, N_terms, h_max, eval_eps):
+    # one extend_eval per (point, member), each finding its own witness and level,
+    # on the ladder of powers of the bases' product deep enough for every base
+    bases = [h.chain.moduli[1] for h in family]
+    depth = max(next(d for d in range(1, 64) if 1.0 / b**d <= eval_eps) for b in bases)
+    levels = tuple(math.prod(bases) ** i for i in range(1, depth + 1))
+    trace = []
+    for i in range(n_alphas):
+        alpha = sample_omega(seed * 1_000_003 + i, levels)
+        vals = np.array([extend_eval(h, alpha, eval_eps) for h in family[:N_terms]], dtype=float)
+        trace.append(max(
+            float(np.abs(np.exp(2j * np.pi * h * vals).mean())) for h in range(1, h_max + 1)
+        ))
+    return tuple(trace)

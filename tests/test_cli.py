@@ -5,13 +5,19 @@ import re
 import shlex
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from measeq import cli
 from measeq.cli import main, parse_ladder
 from measeq.density import FACTORIAL_LADDER, APSet
-from measeq.dist import DEFAULT_TEST_FAMILY
+from measeq.dist import DEFAULT_TEST_FAMILY, edf
+from measeq.seqgen import PeriodicTable
 
 
 def run_json(capsys, argv):
@@ -177,6 +183,39 @@ BAD_RERUNS = {
 }
 
 
+CSV_CELLS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"), float("nan")]),
+    st.text(alphabet="[]()x^-.,0123456789", max_size=8),
+)
+
+
+@st.composite
+def csv_series(draw):
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[CSV_CELLS] * width), max_size=30))
+    return ",".join(f"c{i}" for i in range(width)), rows
+
+
+class TestCsvSeries:
+    @given(csv_series())
+    @settings(max_examples=300)
+    def test_columns_give_the_per_row_bytes(self, series):
+        header, rows = series
+        text = "\n".join(cli._csv_lines((header, list(zip(*rows))))) + "\n"
+        assert text.encode() == ("\n".join(oracles.csv_lines_oracle(header, rows)) + "\n").encode()
+
+    @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False).map(lambda x: round(x, 1)), min_size=1,
+                    max_size=80))
+    def test_edf_series_bytes_equal_the_per_breakpoint_oracle(self, values):
+        v = SimpleNamespace(seq=PeriodicTable(values), n=len(values))
+        _, series = cli._run_edf(v, None)
+        F = edf(v.seq.window(v.n))
+        want = oracles.csv_lines_oracle(series[0], oracles.edf_series_oracle(F))
+        assert cli._csv_lines(series) == want
+
+
 class TestExitCodes:
     def test_bad_json_is_config_error(self, capsys):
         assert main(["gen", "--spec", "{not json"]) == 2
@@ -251,6 +290,12 @@ class TestExitCodes:
             ["rerun", "missing.json"],
             ["rerun", "list.json"],
             ["--out", "list.json/run.json", "gen", "--spec", '{"kind":"vdc"}'],
+            ["exp", "clt", "--config", '{"bases":[]}'],
+            ["exp", "weaklaw", "--config", '{"primes":3,"k_grid":[]}'],
+            ["exp", "sss", "--config", '{"primes":3,"g":["x"]}'],
+            ["exp", "sss", "--config", '{"bases":[3,5,7],"g":["x","x","x","x"]}'],
+            ["polyadic", "sample", "--levels", "3,5"],
+            ["polyadic", "sample", "--levels", "2,6,6"],
         ],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, monkeypatch, capsys, argv):
@@ -260,6 +305,38 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["exp", "clt", "--config", '{"bases":[]}'],
+             "bad --config key bases: need 1 or more items, got 0"),
+            (["exp", "weaklaw", "--config", '{"primes":3,"k_grid":[]}'],
+             "bad --config key k_grid: need 1 or more items, got 0"),
+            (["exp", "sss", "--config", '{"primes":3,"g":["x"]}'],
+             "bad --config key g: need 3 items (test function names, one per member), got 1"),
+            (["exp", "sss", "--config", '{"primes":3}'],
+             "bad --config key g: need 3 items (test function names, one per member), got 2"),
+            (["polyadic", "sample", "--levels", "3,5"],
+             "bad levels '3,5': levels must increase by divisibility (3 -> 5)"),
+        ],
+    )
+    def test_list_rules_name_the_key(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+
+    def test_density_ladder_need_not_be_a_chain(self, capsys):
+        status, out = run_json(capsys, ["density", "--pred", "squares", "--ladder", "3,5",
+                                        "--grid", "1e3..4e3", "--window", "4000"])
+        assert status == 0
+        assert out["report"]["measurability"]["levels"] == [3, 5]
+
+    def test_rerun_checks_the_levels_chain(self, tmp_path, capsys):
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps({"command": "polyadic", "verb": "sample",
+                                    "params": {"levels": "2,6,9"}}))
+        assert main(["rerun", str(path)]) == 2
+        assert "(6 -> 9)" in capsys.readouterr().err
 
     def test_unknown_verb_exits_two(self):
         with pytest.raises(SystemExit) as e:

@@ -94,6 +94,20 @@ class TestEdf:
         n = len(w)
         assert np.allclose(np.rint(F.jumps * n), F.jumps * n, atol=1e-9)
 
+    @given(st.one_of(windows, coarse_windows))
+    @settings(max_examples=200)
+    def test_series_equals_per_breakpoint_oracle(self, w):
+        F = edf(w)
+        series = zip(F.breakpoints.tolist(), F(F.breakpoints).tolist(), F.cum.tolist())
+        assert list(series) == oracles.edf_series_oracle(F)
+
+    @given(coarse_windows, st.lists(st.floats(-2, 2, allow_nan=False).map(lambda x: round(x, 1))))
+    def test_vectorized_evaluation_counts_exactly(self, w, xs):
+        F, vals = edf(w), w.values.tolist()
+        assert F(np.array(xs, dtype=float)).tolist() == [oracles.edf_oracle(vals, x) for x in xs]
+        upto = [sum(1 for v in vals if v <= x) / len(vals) for x in xs]
+        assert F.mass_upto(np.array(xs, dtype=float)).tolist() == upto
+
 
 class TestMoments:
     def test_vdc_uniform_limits(self):

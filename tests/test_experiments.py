@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from measeq.density import blocks_predicate
-from measeq.errors import DiagnosticError, GateError
+from measeq.errors import DiagnosticError, GateError, ResolutionError
 from measeq.experiments import (
     clt_experiment,
     composed_independence_check,
@@ -167,6 +170,43 @@ class TestMetricUd:
         a = metric_ud_experiment(vdc_family_primes(20), n_alphas=4, seed=5)
         b = metric_ud_experiment(vdc_family_primes(20), n_alphas=4, seed=6)
         assert a.trace != b.trace
+
+    @given(
+        st.sampled_from([[3, 5, 7], [2, 3, 5, 7, 11], [5, 7], [2, 9, 25, 7], [11, 3, 5, 7],
+                         [13, 3]]),
+        st.sampled_from([None, 1, 2, 3, 4]),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.integers(0, 10**6),
+        st.sampled_from([1e-3, 0.02, 0.3]),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_trace_equals_per_point_extend_eval(
+        self, bases, factorial, levels, n_alphas, seed, eps, h_max
+    ):
+        # geometric chains of coprime bases, optionally one factorial chain
+        # (base 2) in place of an odd-only family's first member
+        def family():
+            members = [VdcSequence(BaseChain.geometric(b, levels)) for b in bases]
+            if factorial is not None and 2 not in bases:
+                members[0] = VdcSequence(BaseChain.factorial(factorial + 1))
+            return members
+
+        args = dict(n_alphas=n_alphas, seed=seed, h_max=h_max, eval_eps=eps)
+        try:
+            want = oracles.metric_ud_trace_oracle(family(), N_terms=len(bases), **args)
+        except ResolutionError as e:
+            with pytest.raises(ResolutionError, match=f"^{e}$"):
+                metric_ud_experiment(family(), **args)
+            return
+        assert metric_ud_experiment(family(), **args).trace == want
+
+    def test_factorial_member_without_a_dividing_level(self):
+        # witness 5040 = 7! needs the factor 7, which the ladder of 2 * 3 * 5 lacks
+        family = [VdcSequence(BaseChain.factorial(3)), *vdc_family([3, 5])]
+        with pytest.raises(ResolutionError, match="^no ladder level is divisible by 5040$"):
+            metric_ud_experiment(family, n_alphas=2, seed=1)
 
 
 class TestComposedIndependence:

@@ -14,6 +14,7 @@ from measeq.polyadic import (
     OmegaPoint,
     extend_eval,
     haar_integral,
+    ladder_steps,
     p_continuity_profile,
     period_mean,
     periodize,
@@ -264,6 +265,25 @@ class TestSampleOmega:
     def test_invalid_ladder(self):
         with pytest.raises(ValueError):
             OmegaPoint((2, 5), (0, 0))
+
+    def test_ladder_steps(self):
+        assert ladder_steps((2, 6, 24)) == (3, 4)
+        assert ladder_steps((7,)) == ()
+        for bad, step in (((3, 5), "3 -> 5"), ((2, 6, 6), "6 -> 6"), ((6, 3), "6 -> 3")):
+            message = f"^levels must increase by divisibility \\({step}\\)$"
+            with pytest.raises(ValueError, match=message):
+                ladder_steps(bad)
+            with pytest.raises(ValueError, match=message):
+                sample_omega(1, bad)
+            with pytest.raises(ValueError, match=message):
+                OmegaPoint(bad, (0,) * len(bad))
+
+    def test_points_on_a_checked_ladder_are_still_checked(self):
+        OmegaPoint((2, 6), (1, 5))
+        with pytest.raises(ValueError, match="incoherent"):
+            OmegaPoint((2, 6), (1, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            OmegaPoint((2, 6), (1, 7))
 
 
 class TestExtendEval:

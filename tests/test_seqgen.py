@@ -1,12 +1,15 @@
 """Generator tests with independent digit/factorization oracles."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from measeq import seqgen
 from measeq.density import APSet
 from measeq.errors import (
     CapacityError,
@@ -51,6 +54,14 @@ def trial_division_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def spec_outcome(items):
+    """What building a spec from `items` gives: its pairs, or the error message."""
+    try:
+        return AdditiveFunctionSpec(items, 0.0).prime_values
+    except SpecificationError as e:
+        return str(e)
 
 
 class TestVdc:
@@ -99,6 +110,17 @@ class TestVdc:
         w = handle.window(200)
         for n in (1, 7, 50, 200):
             assert w.value(n) == handle.eval(n)
+
+    @given(
+        st.one_of(
+            st.builds(BaseChain.geometric, st.integers(2, 11), st.integers(1, 4)),
+            st.builds(BaseChain.factorial, st.integers(2, 6)),
+        ),
+        st.lists(st.integers(0, 50_000), max_size=40),
+    )
+    def test_values_at_equals_pointwise_eval(self, chain, ns):
+        got = VdcSequence(chain).values_at(np.array(ns, dtype=np.int64)).tolist()
+        assert got == [VdcSequence(chain).eval(n) for n in ns]
 
     def test_witness_levels(self):
         handle = VdcSequence(BaseChain.geometric(2, 1))
@@ -154,6 +176,39 @@ class TestAdditive:
     def test_duplicate_nonzero_values_rejected(self):
         with pytest.raises(SpecificationError):
             AdditiveFunctionSpec({2: 0.5, 3: 0.5}, 0.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-5, 400), st.integers(4000, 4200)),
+                st.sampled_from([0.0, 0.5, 0.25, 1e-9, -0.1, -0.0]),
+            ),
+            max_size=25,
+        ),
+        st.sampled_from([4096, 100, 0]),
+    )
+    @settings(max_examples=300)
+    def test_sieve_check_equals_per_key_trial_division(self, items, limit):
+        # `limit` moves the sieve's reach, so keys on both sides of it are checked
+        want = oracles.additive_spec_oracle(items)
+        with mock.patch.object(seqgen, "_SPEC_SIEVE_LIMIT", limit):
+            got = spec_outcome(items)
+        assert got == want
+
+    @pytest.mark.parametrize("top", [2**24 - 3, 2**24 + 1, 2**24 + 43])
+    def test_keys_around_the_sieve_limit(self, top):
+        items = {3: 0.5, 1009: 0.25, top: 0.125}
+        got = spec_outcome(items)
+        assert got == oracles.additive_spec_oracle(items.items())
+
+    @pytest.mark.parametrize("key, message", [(1_000_000_000_039, None),
+                                              (1_000_000_000_001, "1000000000001 is not prime")])
+    def test_large_key_is_trial_divided_without_a_sieve(self, key, message):
+        with mock.patch.object(seqgen, "prime_mask", wraps=seqgen.prime_mask) as sieve:
+            items = {2: 0.5, key: 0.25}
+            got = spec_outcome(items)
+        assert got == (message or ((2, 0.5), (key, 0.25)))
+        assert [c.args for c in sieve.call_args_list] == [(2,)]
 
 
 class TestSimple:
