@@ -14,19 +14,16 @@ from measeq.density import (
     APSet,
     FACTORIAL_LADDER,
     ap_predicate,
-    asymptotic_density_profile,
     blocks_predicate,
-    buck_measurability_check,
-    buck_upper,
     primes_predicate,
     squares_predicate,
+    survey,
 )
 
 
-def survey(name, pred, grid, window):
-    est = asymptotic_density_profile(pred, grid)
-    cert = buck_upper(pred, FACTORIAL_LADDER, window)
-    meas = buck_measurability_check(pred, FACTORIAL_LADDER, window)
+def summarize(name, pred, grid, window):
+    est, certs, meas = survey(pred, grid, FACTORIAL_LADDER, window)
+    cert = min(certs, key=lambda c: c.cost)
     print(
         f"{name:10s} value={est.value!s:10s} "
         f"liminf={est.liminf_est:.4f} limsup={est.limsup_est:.4f} "
@@ -64,7 +61,7 @@ def main() -> None:
         "primes": primes_predicate(),
         "blocks": blocks_predicate(),
     }
-    results = {name: survey(name, pred, grid, args.window) for name, pred in sets.items()}
+    results = {name: summarize(name, pred, grid, args.window) for name, pred in sets.items()}
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

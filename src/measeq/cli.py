@@ -136,7 +136,7 @@ def parse_sequence_spec(spec) -> object:
     raise ConfigError(f"unknown sequence kind {kind!r}")
 
 
-def parse_predicate_spec(spec, window_hint: int = 100_000):
+def parse_predicate_spec(spec):
     """JSON predicate spec -> (membership predicate, its APSet or None); an AP
     union keeps its progressions, whose density is known exactly."""
     if isinstance(spec, str):
@@ -157,7 +157,7 @@ def parse_predicate_spec(spec, window_hint: int = 100_000):
         t = spec["threshold"]
         with _reading("predicate spec", spec):
             handle = parse_sequence_spec(t["seq"])
-            n = _count(t.get("n", window_hint))
+            n = _count(t.get("n", 100_000))
             lo = float(t.get("lo", -np.inf))
             hi = float(t.get("hi", np.inf))
         return de.window_level_set(handle.window(n), lo, hi), None
@@ -409,18 +409,15 @@ def _run_gen(v, cfg: RunConfig):
 def _run_density(v, cfg: RunConfig):
     pred, apset = v.pred
     tolerance = cfg.tolerance if cfg.tolerance is not None else 1e-3
-    est = de.asymptotic_density_profile(pred, v.grid, tolerance=tolerance)
-    report = {
+    # first, so that an AP union past the inclusion-exclusion term limit refuses before the survey
+    report = {} if apset is None else {"exact_density": de.ap_union_density(apset)}
+    est, certs, meas = de.survey(pred, v.grid, v.ladder, v.window, v.threshold, tolerance)
+    report |= {
         "value": est.value,
         "liminf": est.liminf_est,
         "limsup": est.limsup_est,
         "grid": list(est.window_grid),
-        "certificates": [],
-    }
-    if apset is not None:
-        report["exact_density"] = de.ap_union_density(apset)
-    for cert in de.buck_upper_per_level(pred, v.ladder, v.window, v.threshold):
-        report["certificates"].append(
+        "certificates": [
             {
                 "level": cert.level,
                 "cost": cert.cost,
@@ -428,13 +425,14 @@ def _run_density(v, cfg: RunConfig):
                 "cover_size": len(cert.cover.progressions),
                 "verified_upto": cert.verified_upto,
             }
-        )
-    meas = de.buck_measurability_check(pred, v.ladder, v.window, v.threshold)
-    report["measurability"] = {
-        "levels": list(meas.levels),
-        "gaps": [float(g) for g in meas.gaps],
-        "gap": float(meas.gap),
-        "measurable": meas.measurable,
+            for cert in certs
+        ],
+        "measurability": {
+            "levels": list(meas.levels),
+            "gaps": [float(g) for g in meas.gaps],
+            "gap": float(meas.gap),
+            "measurable": meas.measurable,
+        },
     }
     return report, ("N,ratio", [est.window_grid, est.ratios])
 
@@ -574,7 +572,7 @@ _COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
               default="1e3..1e6", convert=parse_grid),
         _LADDER,
         Param("threshold", (int,), "hits that make a residue class persistent",
-              default=de.DEFAULT_THRESHOLD, echo=True),
+              default=de.DEFAULT_THRESHOLD, echo=True, least=1),
         Param("window", (int,), "window of the cover search", least=1,
               default=lambda r: min(r.grid[-1], 1_000_000)),
     ), _run_density)}),

@@ -25,6 +25,7 @@ PRIMORIAL_LADDER = (1, 2, 6, 30, 210, 2310, 30030)
 # default persistence threshold: a residue class counts as "infinitely hit"
 # when the window shows at least this many hits
 DEFAULT_THRESHOLD = 3
+DEFAULT_GAP_TOLERANCE = 0.05
 
 
 def _crt_intersect(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -136,21 +137,16 @@ class Predicate:
 
     def mask(self, N: int) -> np.ndarray:
         """Boolean membership array for n = 1..N."""
-        if self.max_n is not None and N > self.max_n:
-            raise DiagnosticError(
-                f"predicate {self.name!r} only defined up to n={self.max_n}, asked {N}"
-            )
+        self._require(N)
         if self._mask_fn is not None:
             return self._mask_fn(N)
         return np.fromiter((self._fn(n) for n in range(1, N + 1)), dtype=bool, count=N)
 
-    def complement(self) -> "Predicate":
-        return Predicate(
-            lambda n: not self._fn(n),
-            (lambda N: ~self.mask(N)) if self._mask_fn is not None else None,
-            name=f"not-{self.name}",
-            max_n=self.max_n,
-        )
+    def _require(self, N: int) -> None:
+        if self.max_n is not None and N > self.max_n:
+            raise DiagnosticError(
+                f"predicate {self.name!r} only defined up to n={self.max_n}, asked {N}"
+            )
 
     def __repr__(self) -> str:
         return f"Predicate({self.name})"
@@ -232,6 +228,22 @@ class DensityEstimate:
     tolerance: float
 
 
+def _grid(grid: Sequence[int]) -> list[int]:
+    grid = [int(N) for N in grid]
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be nonempty and strictly increasing")
+    return grid
+
+
+def _profile(mask: np.ndarray, grid: list[int], tolerance: float) -> DensityEstimate:
+    counts = np.cumsum([np.count_nonzero(mask[a:b]) for a, b in zip([0, *grid], grid)])
+    ratios = tuple(int(c) / N for c, N in zip(counts, grid))
+    tail = ratios[-max(1, len(ratios) // 3) :]
+    lo, hi = min(tail), max(tail)
+    value = (lo + hi) / 2 if hi - lo <= tolerance else None
+    return DensityEstimate(value, lo, hi, tuple(grid), ratios, tolerance)
+
+
 def asymptotic_density_profile(
     pred, grid: Sequence[int], tolerance: float = 1e-3
 ) -> DensityEstimate:
@@ -240,16 +252,58 @@ def asymptotic_density_profile(
     liminf/limsup estimates come from the last third of the grid; the value
     is set only when they agree within `tolerance`.
     """
-    grid = [int(N) for N in grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be nonempty and strictly increasing")
-    cum = np.cumsum(_as_predicate(pred).mask(grid[-1]))
-    counts = [int(cum[N - 1]) for N in grid]
-    ratios = tuple(c / N for c, N in zip(counts, grid))
-    tail = ratios[-max(1, len(ratios) // 3) :]
-    lo, hi = min(tail), max(tail)
-    value = (lo + hi) / 2 if hi - lo <= tolerance else None
-    return DensityEstimate(value, lo, hi, tuple(grid), ratios, tolerance)
+    grid = _grid(grid)
+    return _profile(_as_predicate(pred).mask(grid[-1]), grid, tolerance)
+
+
+def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
+          tolerance: float = DEFAULT_GAP_TOLERANCE, big_m: int | None = None,
+          require_recent: bool = True, upto: int = 0):
+    """(mask of [1, max(N, upto)], certificates if `big_m` is given, MeasurabilityReport)
+    from the hits per class at each usable level m.  The complement's count in class r is
+    its size, N // m if r = 0 else (N - r) // m + 1 (0 if r > N), minus the set's count."""
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    levels = tuple(m for m in ladder if N >= threshold * m)
+    if not levels:
+        raise DiagnosticError(f"window {N} cannot classify residues at any ladder level")
+    mask = _as_predicate(pred).mask(max(N, upto))
+    hits = np.flatnonzero(mask[:N]).astype(np.int64, copy=False) + 1
+    # hits[recent_from:] lie past the recency cut 2N/3; without it any hit will do
+    recent_from = np.searchsorted(hits, (2 * N) // 3, side="right") if require_recent else 0
+    certs, up_s, up_c = [], [], []
+    for m in levels:
+        res = hits % m
+        counts = np.bincount(res, minlength=m)
+        sizes = (N - np.arange(m)) // m + (np.arange(m) > 0)
+        up_s.append(Fraction(int((counts >= threshold).sum()), m))
+        up_c.append(Fraction(int((sizes - counts >= threshold).sum()), m))
+        if big_m is None:
+            continue
+        persistent = (counts >= threshold) & (np.bincount(res[recent_from:], minlength=m) > 0)
+        pairs = [(r, m) for r in np.flatnonzero(persistent).tolist()]
+        cost = Fraction(len(pairs), m)
+        # stragglers grouped by class: class progression vs singletons, cheaper wins
+        strag = hits[~persistent[res]]
+        if strag.size:
+            # distinct (class, singleton) pairs in class order; a singleton that
+            # two classes share (m need not divide big_m) counts in both
+            cls, single = strag % m, strag % big_m
+            order = np.lexsort((single, cls))
+            cls, single = cls[order], single[order]
+            fresh = np.ones(cls.size, dtype=bool)
+            fresh[1:] = (cls[1:] != cls[:-1]) | (single[1:] != single[:-1])
+            classes, k = np.unique(cls[fresh], return_counts=True)
+            # 1/m <= k/big_m, i.e. k*m >= big_m, kept free of int64 products
+            whole = k >= -(-big_m // m)
+            pairs.extend((r, m) for r in classes[whole].tolist())
+            pairs.extend((x, big_m) for x in single[fresh][np.repeat(~whole, k)].tolist())
+            cost += Fraction(int(whole.sum()), m) + Fraction(int(k[~whole].sum()), big_m)
+        cover = APSet(pairs)
+        _verify_cover(cover, hits)
+        certs.append(CoverCertificate(cover, cost, N, m))
+    gaps = tuple(a + b - 1 for a, b in zip(up_s, up_c))
+    return mask, certs, MeasurabilityReport(levels, tuple(up_s), tuple(up_c), gaps, tolerance)
 
 
 def residue_saturation(
@@ -260,23 +314,7 @@ def residue_saturation(
     Approximates the measure of the closure at that level; weakly decreasing
     along any divisibility ladder by construction.
     """
-    if window_N < threshold * level_m:
-        raise DiagnosticError(
-            f"window {window_N} too short for level {level_m} at threshold {threshold}"
-        )
-    hits = _hit_indices(pred, window_N)
-    return _saturation_from_hits(hits, level_m, threshold)
-
-
-def _hit_indices(pred, window_N: int) -> np.ndarray:
-    return np.flatnonzero(_as_predicate(pred).mask(window_N)).astype(np.int64) + 1
-
-
-def _saturation_from_hits(hits: np.ndarray, m: int, threshold: int) -> Fraction:
-    if hits.size == 0:
-        return Fraction(0, 1)
-    counts = np.bincount(hits % m, minlength=m)
-    return Fraction(int((counts >= threshold).sum()), m)
+    return _scan(pred, (level_m,), window_N, threshold)[2].upper_set[0]
 
 
 @dataclass
@@ -323,55 +361,19 @@ def buck_upper_per_level(
     require_recent: bool = True,
 ) -> list[CoverCertificate]:
     """One certificate per usable ladder level (see `buck_upper`)."""
-    usable = [m for m in ladder if window_N >= threshold * m]
-    if not usable:
-        raise DiagnosticError(
-            f"window {window_N} cannot classify residues at any ladder level"
-        )
-    hits = _hit_indices(pred, window_N)
-    big_m = max(ladder)
-    recent_cut = (2 * window_N) // 3
-    out = []
-    for m in usable:
-        res = hits % m if hits.size else np.zeros(0, dtype=np.int64)
-        counts = np.bincount(res, minlength=m)
-        persistent = counts >= threshold
-        if require_recent and hits.size:
-            last = np.zeros(m, dtype=np.int64)
-            np.maximum.at(last, res, hits)
-            persistent &= last > recent_cut
-        pairs = [(int(r), m) for r in np.flatnonzero(persistent)]
-        cost = Fraction(len(pairs), m)
-        # stragglers grouped by class: class progression vs singletons, cheaper wins
-        strag = hits[~persistent[res]] if hits.size else hits
-        if strag.size:
-            # distinct (class, singleton) pairs in class order; a singleton that
-            # two classes share (m need not divide big_m) counts in both
-            cls, single = strag % m, strag % big_m
-            order = np.lexsort((single, cls))
-            cls, single = cls[order], single[order]
-            fresh = np.ones(cls.size, dtype=bool)
-            fresh[1:] = (cls[1:] != cls[:-1]) | (single[1:] != single[:-1])
-            classes, k = np.unique(cls[fresh], return_counts=True)
-            # 1/m <= k/big_m, i.e. k*m >= big_m, kept free of int64 products
-            whole = k >= -(-big_m // m)
-            pairs.extend((r, m) for r in classes[whole].tolist())
-            pairs.extend((x, big_m) for x in single[fresh][np.repeat(~whole, k)].tolist())
-            cost += Fraction(int(whole.sum()), m) + Fraction(int(k[~whole].sum()), big_m)
-        cover = APSet(pairs)
-        _verify_cover(cover, hits, window_N)
-        out.append(CoverCertificate(cover, cost, window_N, m))
-    return out
+    return _scan(pred, ladder, window_N, threshold, big_m=max(ladder),
+                 require_recent=require_recent)[1]
 
 
-def _verify_cover(cover: APSet, hits: np.ndarray, N: int) -> None:
-    """Raise DiagnosticError unless the cover holds every hit in [1, N]."""
-    if hits.size == 0:
-        return
-    covered = cover.mask(N)
-    if not covered[hits - 1].all():
-        missing = hits[~covered[hits - 1]][:5]
-        raise DiagnosticError(f"cover misses window elements {missing.tolist()}")
+def _verify_cover(cover: APSet, hits: np.ndarray) -> None:
+    """Raise DiagnosticError unless the cover's progressions hold every hit."""
+    covered = np.zeros(hits.size, dtype=bool)
+    for m in {m for _, m in cover.progressions}:
+        held = np.zeros(min(m, int(hits.max(initial=0)) + 1), dtype=bool)  # classes hits reach
+        held[[r for r, q in cover.progressions if q == m and r < held.size]] = True
+        covered |= held[hits % m]
+    if not covered.all():
+        raise DiagnosticError(f"cover misses window elements {hits[~covered][:5].tolist()}")
 
 
 @dataclass
@@ -379,7 +381,8 @@ class MeasurabilityReport:
     """Saturation-based upper estimates for S and its complement per level.
 
     gap[i] = upper_set[i] + upper_complement[i] - 1; a set looks measurable
-    when the gap at the deepest level falls within the tolerance.
+    when the gap at the deepest level falls within the tolerance.  The
+    complement's count per class is the class size minus the set's count.
     """
 
     levels: tuple[int, ...]
@@ -402,24 +405,20 @@ def buck_measurability_check(
     ladder: Sequence[int] = FACTORIAL_LADDER,
     window_N: int = 100_000,
     threshold: int = DEFAULT_THRESHOLD,
-    tolerance: float = 0.05,
+    tolerance: float = DEFAULT_GAP_TOLERANCE,
 ) -> MeasurabilityReport:
-    """Triage for measurability: saturation of S and of its complement per level."""
-    usable = [m for m in ladder if window_N >= threshold * m]
-    if not usable:
-        raise DiagnosticError(
-            f"window {window_N} cannot classify residues at any ladder level"
-        )
-    mask = _as_predicate(pred).mask(window_N)
-    hits_s = np.flatnonzero(mask).astype(np.int64) + 1
-    hits_c = np.flatnonzero(~mask).astype(np.int64) + 1
-    up_s, up_c, gaps = [], [], []
-    for m in usable:
-        a = _saturation_from_hits(hits_s, m, threshold)
-        b = _saturation_from_hits(hits_c, m, threshold)
-        up_s.append(a)
-        up_c.append(b)
-        gaps.append(a + b - 1)
-    return MeasurabilityReport(
-        tuple(usable), tuple(up_s), tuple(up_c), tuple(gaps), tolerance
-    )
+    """Triage for measurability: saturation of S and of its complement per level;
+    the complement's count per class is the class size minus the set's count."""
+    return _scan(pred, ladder, window_N, threshold, tolerance)[2]
+
+
+def survey(pred, grid: Sequence[int], ladder: Sequence[int] = FACTORIAL_LADDER,
+           window: int = 100_000, threshold: int = DEFAULT_THRESHOLD, tolerance: float = 1e-3
+           ) -> tuple[DensityEstimate, list[CoverCertificate], MeasurabilityReport]:
+    """The results of `asymptotic_density_profile` (with `tolerance`), `buck_upper_per_level`
+    and `buck_measurability_check` (default tolerance), from one mask and one residue table
+    per level; it refuses as the first of those calls to refuse would."""
+    grid = _grid(grid)
+    _as_predicate(pred)._require(grid[-1])  # the profile refuses first
+    mask, certs, meas = _scan(pred, ladder, window, threshold, big_m=max(ladder), upto=grid[-1])
+    return _profile(mask, grid, tolerance), certs, meas

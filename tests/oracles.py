@@ -2,8 +2,9 @@
 
 Everything here is plain-Python double loops over raw value lists, apart from
 the per-point paths that vectorized kernels replaced, kept as they were: the
-per-class straggler loop of `buck_upper_per_level`, the per-breakpoint EDF
-series, the per-row CSV formatter, the per-key primality check of an additive
+per-class straggler loop of `buck_upper_per_level`, the mask-form cover check,
+the measurability check that materializes the complement's hits, the
+per-breakpoint EDF series, the per-row CSV formatter, the per-key primality check of an additive
 spec and the per-(member, point) `extend_eval` loop of the metric experiment.
 """
 
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from measeq.density import APSet, CoverCertificate
+from measeq.density import APSet, CoverCertificate, MeasurabilityReport
+from measeq.errors import DiagnosticError
 from measeq.polyadic import extend_eval, sample_omega
 from measeq.primes import is_prime
 
@@ -168,6 +170,40 @@ def buck_upper_per_level_oracle(pred, ladder, window_N, threshold, require_recen
                     cost += Fraction(k, big_m)
         out.append(CoverCertificate(APSet(pairs), cost, window_N, m))
     return out
+
+
+def verify_cover_oracle(cover, hits, N):
+    # the cover's membership mask on [1, N], indexed at every hit
+    if hits.size == 0:
+        return
+    covered = cover.mask(N)
+    if not covered[hits - 1].all():
+        missing = hits[~covered[hits - 1]][:5]
+        raise DiagnosticError(f"cover misses window elements {missing.tolist()}")
+
+
+def buck_measurability_oracle(pred, ladder, window_N, threshold, tolerance=0.05):
+    # saturation of the set's hits and of the complement's hits, each its own
+    # array, with one residue bincount per level for each
+    usable = [m for m in ladder if window_N >= threshold * m]
+    if not usable:
+        raise DiagnosticError(
+            f"window {window_N} cannot classify residues at any ladder level"
+        )
+    mask = pred.mask(window_N)
+    hits_s = np.flatnonzero(mask).astype(np.int64) + 1
+    hits_c = np.flatnonzero(~mask).astype(np.int64) + 1
+
+    def saturation(hits, m):
+        if hits.size == 0:
+            return Fraction(0, 1)
+        counts = np.bincount(hits % m, minlength=m)
+        return Fraction(int((counts >= threshold).sum()), m)
+
+    up_s = tuple(saturation(hits_s, m) for m in usable)
+    up_c = tuple(saturation(hits_c, m) for m in usable)
+    gaps = tuple(a + b - 1 for a, b in zip(up_s, up_c))
+    return MeasurabilityReport(tuple(usable), up_s, up_c, gaps, tolerance)
 
 
 def edf_series_oracle(F):

@@ -1,8 +1,12 @@
 """CLI integration tests: verbs, exit codes, output schema, reproducibility."""
 
+import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from types import SimpleNamespace
@@ -259,8 +263,9 @@ class TestExitCodes:
         ]
 
     def test_failed_cover_check_is_refused(self, capsys, monkeypatch):
-        # a cover mask that holds nothing fails the check on every level
-        monkeypatch.setattr(APSet, "mask", lambda self, N: np.zeros(N, dtype=bool))
+        # a cover built without its progressions fails the check on every level
+        monkeypatch.setattr(APSet, "__init__",
+                            lambda self, pairs: object.__setattr__(self, "progressions", ()))
         assert main(["density", "--pred", "squares", "--window", "1000"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["run refused: cover misses window elements [1, 4, 9, 16, 25]"]
@@ -286,6 +291,8 @@ class TestExitCodes:
             ["gen", "--spec", '{"kind":"vdc"}', "--n", "-5"],
             ["density", "--pred", "squares", "--ladder", "0,6"],
             ["density", "--pred", "squares", "--grid", "5,3"],
+            ["density", "--pred", "squares", "--threshold", "0"],
+            ["density", "--pred", "squares", "--threshold", "-3"],
             ["exp", "clt", "--config", "@nofile.json"],
             ["rerun", "missing.json"],
             ["rerun", "list.json"],
@@ -492,6 +499,17 @@ def _examples(doc):
     return [argv[1:] for argv in lines if argv[:1] == ["measeq"]]
 
 
+def _script_lines():
+    """The `python scripts/...` lines of the README Scripts block."""
+    text = (ROOT / "README.md").read_text().split("## Scripts", 1)[1]
+    text = text.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in text.splitlines() if line.strip()]
+
+
+# results/density_survey.json of `density_survey.py --window 1000000`
+DENSITY_SURVEY_SHA256 = "e82dea4ff4b22f74b8240b81a79ae689684c47b60c37412c7d194f870eaf62e9"
+
+
 @pytest.mark.parametrize("doc", ["README.md", "docs/measeq.1.md"])
 def test_documented_examples_run(tmp_path, monkeypatch, capsys, doc):
     monkeypatch.chdir(tmp_path)
@@ -499,6 +517,22 @@ def test_documented_examples_run(tmp_path, monkeypatch, capsys, doc):
     assert len(examples) >= 5
     for argv in examples:
         assert main(argv) == 0, argv
+    if doc != "README.md":
+        return
+    # the scripts as written, from the repository root's scripts/, writing under tmp_path
+    scripts = _script_lines()
+    assert [argv[:2] for argv in scripts] == [
+        ["python", "scripts/run_transfer_experiments.py"],
+        ["python", "scripts/density_survey.py"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for _, script, *args in scripts:
+        done = subprocess.run([sys.executable, str(ROOT / script), *args], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256((tmp_path / "results" / "density_survey.json").read_bytes())
+    assert digest.hexdigest() == DENSITY_SURVEY_SHA256
 
 
 def _man_page_entries():

@@ -24,6 +24,7 @@ from measeq.density import (
     primes_predicate,
     residue_saturation,
     squares_predicate,
+    survey,
     Predicate,
     _verify_cover,
 )
@@ -311,11 +312,44 @@ class TestStragglerGrouping:
             assert g.cost == w.cost
 
 
+def outcome(fn, *args):
+    """What a call gives: its result, or the type and text of its refusal."""
+    try:
+        return "returned", fn(*args)
+    except MeaseqError as e:
+        return "raised", f"{type(e).__name__}: {e}"
+
+
+# hit_sets plus the empty and the full window
+window_masks = st.one_of(
+    hit_sets(),
+    st.tuples(st.integers(1, 3000), st.booleans()).map(lambda t: np.full(t[0], t[1])),
+)
+
+# moduli small enough to hit often, and big_m-sized ones that hold a hit or two
+covers = st.lists(
+    st.sampled_from([*range(1, 13), 24, 35, 720, 2**32 + 15, 2**61 - 1]).flatmap(
+        lambda m: st.tuples(st.integers(0, min(m - 1, 3000)), st.just(m))
+    ),
+    max_size=6,
+).map(APSet)
+
+
 class TestVerifyCover:
     def test_missing_hit_is_a_measeq_error(self):
         hits = np.array([2, 4, 5, 8], dtype=np.int64)
         with pytest.raises(MeaseqError, match=r"cover misses window elements \[5\]"):
-            _verify_cover(APSet.single(0, 2), hits, 10)
+            _verify_cover(APSet.single(0, 2), hits)
+
+    @example(cover=APSet([]), mask=np.ones(9, dtype=bool))
+    @example(cover=APSet([(0, 2), (1, 2**61 - 1)]), mask=hits_at(20, 1, 2, 3, 5, 7, 9, 11, 13))
+    @given(covers, window_masks)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mask_oracle(self, cover, mask):
+        hits = np.flatnonzero(mask).astype(np.int64) + 1
+        assert outcome(_verify_cover, cover, hits) == outcome(
+            oracles.verify_cover_oracle, cover, hits, mask.size
+        )
 
 
 class TestMeasurability:
@@ -342,3 +376,69 @@ class TestMeasurability:
         )
         assert float(rep.gap) >= 0.8
         assert not rep.measurable
+
+    # N = 1000 is no multiple of 30; the full window leaves the complement empty
+    @example(mask=np.ones(1000, dtype=bool), ladder=(1, 6, 30, 2**61 - 1), threshold=4)
+    @example(mask=np.zeros(7, dtype=bool), ladder=(3, 5, 7), threshold=1)
+    @given(window_masks, straggler_ladders, st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_complement_oracle(self, mask, ladder, threshold):
+        pred, N = mask_predicate(mask), mask.size
+        assert outcome(buck_measurability_check, pred, ladder, N, threshold) == outcome(
+            oracles.buck_measurability_oracle, pred, ladder, N, threshold
+        )
+
+
+class TestSurvey:
+    @example(mask=np.ones(1000, dtype=bool), ladder=(1, 6, 30, 2**61 - 1), threshold=4,
+             grid_end=1.0, window=1.0)
+    @given(
+        window_masks,
+        straggler_ladders,
+        st.integers(1, 4),
+        st.floats(0, 1),
+        st.floats(0, 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_step_oracles(self, mask, ladder, threshold, grid_end, window):
+        N = mask.size
+        grid_end, window = max(1, round(grid_end * N)), max(1, round(window * N))
+        grid = sorted({max(1, grid_end // 4), grid_end})
+        pred = mask_predicate(mask)
+        got = outcome(survey, pred, grid, ladder, window, threshold)
+        certs = outcome(oracles.buck_upper_per_level_oracle, pred, ladder, window, threshold, True)
+        meas = outcome(oracles.buck_measurability_oracle, pred, ladder, window, threshold)
+        assert (got[0] == "raised") == (meas[0] == "raised")
+        if got[0] == "raised":
+            assert got == meas
+            return
+        est, got_certs, got_meas = got[1]
+        assert est == asymptotic_density_profile(pred, grid)
+        assert est.ratios == tuple(int(mask[:n].sum()) / n for n in grid)
+        assert [(c.level, c.cost, c.cover, c.verified_upto) for c in got_certs] == [
+            (c.level, c.cost, c.cover, c.verified_upto) for c in certs[1]
+        ]
+        assert got_meas == meas[1]
+
+    def test_refuses_in_the_order_of_the_separate_calls(self):
+        level_set = Predicate(lambda n: n % 2 == 0, lambda N: np.arange(1, N + 1) % 2 == 0,
+                              name="even", max_n=1000)
+        for grid, window, ladder, asked in [
+            ([2000], 3000, FACTORIAL_LADDER, "asked 2000"),
+            ([500], 2000, FACTORIAL_LADDER, "asked 2000"),
+            ([500], 2000, (1000,), "cannot classify residues"),
+        ]:
+            with pytest.raises(DiagnosticError, match=asked):
+                survey(level_set, grid, ladder, window)
+
+    @pytest.mark.parametrize("threshold", [0, -3])
+    def test_threshold_below_one_is_a_value_error(self, threshold):
+        pred = squares_predicate()
+        for call in (
+            lambda: survey(pred, [1000], FACTORIAL_LADDER, 1000, threshold),
+            lambda: buck_upper_per_level(pred, FACTORIAL_LADDER, 1000, threshold),
+            lambda: buck_measurability_check(pred, FACTORIAL_LADDER, 1000, threshold),
+            lambda: residue_saturation(pred, 6, 1000, threshold),
+        ):
+            with pytest.raises(ValueError, match=f"threshold must be >= 1, got {threshold}"):
+                call()
