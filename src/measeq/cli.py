@@ -136,9 +136,10 @@ def parse_sequence_spec(spec) -> object:
     raise ConfigError(f"unknown sequence kind {kind!r}")
 
 
-def parse_predicate_spec(spec):
+def parse_predicate_spec(spec, n: int):
     """JSON predicate spec -> (membership predicate, its APSet or None); an AP
-    union keeps its progressions, whose density is known exactly."""
+    union keeps its progressions, whose density is known exactly. A threshold
+    spec that gives no window length "n" is windowed to `n`."""
     if isinstance(spec, str):
         named = {
             "squares": de.squares_predicate,
@@ -157,7 +158,7 @@ def parse_predicate_spec(spec):
         t = spec["threshold"]
         with _reading("predicate spec", spec):
             handle = parse_sequence_spec(t["seq"])
-            n = _count(t.get("n", 100_000))
+            n = _count(t.get("n", n))
             lo = float(t.get("lo", -np.inf))
             hi = float(t.get("hi", np.inf))
         return de.window_level_set(handle.window(n), lo, hi), None
@@ -407,7 +408,7 @@ def _run_gen(v, cfg: RunConfig):
 
 
 def _run_density(v, cfg: RunConfig):
-    pred, apset = v.pred
+    pred, apset = parse_predicate_spec(v.pred, max(v.grid[-1], v.window))
     tolerance = cfg.tolerance if cfg.tolerance is not None else 1e-3
     # first, so that an AP union past the inclusion-exclusion term limit refuses before the survey
     report = {} if apset is None else {"exact_density": de.ap_union_density(apset)}
@@ -567,7 +568,7 @@ _COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
         replace(_N, default=100),
     ), _run_gen)}),
     "density": ("density profile, covers and measurability", {None: Verb("", (
-        Param("pred", (str, dict), "predicate spec", required=True, convert=parse_predicate_spec),
+        Param("pred", (str, dict), "predicate spec", required=True),
         Param("grid", (str,), 'window grid "A..B" (doubling) or a comma list',
               default="1e3..1e6", convert=parse_grid),
         _LADDER,

@@ -127,21 +127,34 @@ class VdcSequence:
         return gen_vdc(n, self.chain)
 
     def values_at(self, ns: np.ndarray) -> np.ndarray:
-        """Values at an int64 array of indices n >= 0, one pass per chain digit."""
+        """Values at an int64 array of indices n >= 0, one divmod per chain digit."""
         top = int(ns.max()) if ns.size else 0
         self.chain = self.chain.ensure_capacity(top)
         q = self.chain.moduli
         vals = np.zeros(ns.shape, dtype=float)
+        r = np.array(ns, dtype=np.int64)  # n // Q_j at level j
+        a, term = np.empty_like(r), np.empty(ns.shape)  # buffers reused for every digit
         for j in range(len(q) - 1):
             if q[j] > top:
                 break
-            base = q[j + 1] // q[j]
-            vals += (ns // q[j]) % base / q[j + 1]
+            np.divmod(r, q[j + 1] // q[j], out=(r, a))
+            vals += np.divide(a, q[j + 1], out=term)
         return vals
 
     def window(self, N: int) -> "SequenceWindow":
-        vals = self.values_at(np.arange(1, N + 1, dtype=np.int64))
-        return SequenceWindow(vals, bounds=(0.0, 1.0), generator=self)
+        """Window v(1..N) by the digit recurrence v(a Q_j + m) = v(m) + a / Q_{j+1}
+        (0 <= m < Q_j, 0 <= a < Q_{j+1} / Q_j): each level with Q_j <= N repeats
+        the values so far once per digit a. The additions are those of
+        `values_at`, in its order, so the values are the same bit for bit."""
+        self.chain = self.chain.ensure_capacity(N)
+        q = self.chain.moduli
+        vals = np.zeros(1)
+        for j in range(len(q) - 1):
+            if q[j] > N:
+                break
+            rows = min(q[j + 1] // q[j], N // q[j] + 1)
+            vals = np.add.outer(np.arange(rows) / q[j + 1], vals).ravel()
+        return SequenceWindow(vals[1 : N + 1], bounds=(0.0, 1.0), generator=self)
 
     def witness(self, eps: float) -> int | None:
         """Smallest chain modulus m with 1/m <= eps."""
@@ -384,10 +397,9 @@ class SequenceWindow:
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("window needs at least one value")
         vals.setflags(write=False)
-        if bounds is None:
-            bounds = (float(vals.min()), float(vals.max()))
-        a, b = float(bounds[0]), float(bounds[1])
-        if not (vals.min() >= a and vals.max() <= b):
+        lo, hi = vals.min(), vals.max()
+        a, b = (float(lo), float(hi)) if bounds is None else (float(bounds[0]), float(bounds[1]))
+        if not (lo >= a and hi <= b):
             raise ValueError(f"values escape declared bounds [{a}, {b}]")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "bounds", (a, b))

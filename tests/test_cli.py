@@ -81,6 +81,31 @@ class TestDensity:
         assert status == 0
         assert out["report"]["limsup"] <= 0.05
 
+    def test_threshold_spec_runs_at_the_defaults(self, capsys):
+        pred = '{"threshold":{"seq":{"kind":"vdc"}}}'
+        status, out = run_json(capsys, ["density", "--pred", pred])
+        assert status == 0
+        assert out["config"]["params"]["pred"] == json.loads(pred)
+        assert out["report"]["grid"][-1] == 1_000_000
+
+    @pytest.mark.parametrize("window", ["3000", "6000"])
+    def test_threshold_spec_without_n_reaches_grid_end_and_window(self, capsys, window):
+        # the omitted n is max(grid end, --window); any smaller n is refused
+        n = max(4000, int(window))
+        spec = {"seq": {"kind": "vdc", "chain": {"ratio": 3, "levels": 1}}, "lo": 0.25, "hi": 0.5}
+        argv = ["--grid", "1e3..4000", "--window", window, "--ladder", "1,2,3,9"]
+        reports = []
+        for given in (spec, {**spec, "n": n}):
+            pred = json.dumps({"threshold": given})
+            status, out = run_json(capsys, ["density", "--pred", pred, *argv])
+            assert status == 0
+            assert out["config"]["params"]["pred"] == {"threshold": given}
+            reports.append(out["report"])
+        assert reports[0] == reports[1]
+        short = json.dumps({"threshold": {**spec, "n": n - 1}})
+        assert main(["density", "--pred", short, *argv]) == 1
+        assert f"only defined up to n={n - 1}, asked {n}" in capsys.readouterr().err
+
 
 class TestDist:
     def test_moments(self, capsys):

@@ -1,6 +1,9 @@
 """Generator tests with independent digit/factorization oracles."""
 
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from unittest import mock
 
 import numpy as np
@@ -54,6 +57,17 @@ def trial_division_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+# geometric ratios 2-100, factorial chains and mixed-radix chains with no growth rule
+any_chain = st.one_of(
+    st.builds(BaseChain.geometric, st.integers(2, 100), st.integers(1, 4)),
+    st.builds(BaseChain.factorial, st.integers(2, 7)),
+    st.just(BaseChain((1, 2, 6, 12, 60))),
+    st.lists(st.integers(2, 12), min_size=1, max_size=6).map(
+        lambda steps: BaseChain(tuple(accumulate(steps, mul, initial=1)))
+    ),
+)
 
 
 def spec_outcome(items):
@@ -121,6 +135,59 @@ class TestVdc:
     def test_values_at_equals_pointwise_eval(self, chain, ns):
         got = VdcSequence(chain).values_at(np.array(ns, dtype=np.int64)).tolist()
         assert got == [VdcSequence(chain).eval(n) for n in ns]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_window_equals_digit_loop_oracle(self, data):
+        chain = data.draw(any_chain)
+        limit = min(chain.capacity - 1, 200_000) if chain.growth is None else 200_000
+        near_moduli = [q + d for q in chain.ensure_capacity(limit).moduli for d in (-1, 0, 1)]
+        N = data.draw(st.one_of(
+            st.just(1),
+            st.sampled_from([n for n in near_moduli if 1 <= n <= limit]),
+            st.integers(1, limit),
+        ))
+        got = VdcSequence(chain).window(N).values
+        assert got.tolist() == oracles.vdc_values_oracle(chain, np.arange(1, N + 1)).tolist()
+
+    @pytest.mark.parametrize("chain, N", [
+        (BaseChain.geometric(2, 1), 2**20 + 1),
+        (BaseChain.geometric(97, 1), 97**3 - 1),
+        (BaseChain.factorial(2), 362_880 + 1),  # 9! + 1
+    ])
+    def test_long_window_equals_digit_loop_oracle(self, chain, N):
+        got = VdcSequence(chain).window(N).values
+        assert got.tolist() == oracles.vdc_values_oracle(chain, np.arange(1, N + 1)).tolist()
+
+    @settings(deadline=None)
+    @given(any_chain, st.data())
+    def test_values_at_equals_digit_loop_oracle(self, chain, data):
+        top = chain.capacity - 1 if chain.growth is None else 10**12
+        ns = data.draw(st.lists(st.integers(0, top), max_size=60))
+        got = VdcSequence(chain).values_at(np.array(ns, dtype=np.int64))
+        assert got.tolist() == oracles.vdc_values_oracle(chain, ns).tolist()
+
+    def test_window_builds_no_digit_past_its_end(self):
+        # the last level repeats the values so far only for the digits 0..N // Q_j
+        tracemalloc.start()
+        try:
+            VdcSequence(BaseChain.geometric(10**6, 1)).window(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("moduli", [(1, 2, 6, 12, 60), (1, 5), (1, 3, 9)])
+    def test_window_past_a_fixed_chain_is_a_capacity_error(self, moduli):
+        handle = VdcSequence(BaseChain(moduli))
+        assert len(handle.window(moduli[-1] - 1)) == moduli[-1] - 1
+        with pytest.raises(CapacityError, match="no growth rule"):
+            handle.window(moduli[-1])
+
+    @pytest.mark.parametrize("N", [0, -1, -7])
+    def test_empty_window_is_a_value_error(self, N):
+        with pytest.raises(ValueError, match="window needs at least one value"):
+            VdcSequence(BaseChain.geometric(2, 3)).window(N)
 
     def test_witness_levels(self):
         handle = VdcSequence(BaseChain.geometric(2, 1))
