@@ -127,18 +127,16 @@ class VdcSequence:
         return gen_vdc(n, self.chain)
 
     def values_at(self, ns: np.ndarray) -> np.ndarray:
-        """Values at an int64 array of indices n >= 0, one divmod per chain digit."""
+        """Values at an int64 array of indices n >= 0, one pass per chain digit."""
         top = int(ns.max()) if ns.size else 0
         self.chain = self.chain.ensure_capacity(top)
         q = self.chain.moduli
         vals = np.zeros(ns.shape, dtype=float)
-        r = np.array(ns, dtype=np.int64)  # n // Q_j at level j
-        a, term = np.empty_like(r), np.empty(ns.shape)  # buffers reused for every digit
         for j in range(len(q) - 1):
             if q[j] > top:
                 break
-            np.divmod(r, q[j + 1] // q[j], out=(r, a))
-            vals += np.divide(a, q[j + 1], out=term)
+            base = q[j + 1] // q[j]
+            vals += (ns // q[j]) % base / q[j + 1]
         return vals
 
     def window(self, N: int) -> "SequenceWindow":

@@ -2,8 +2,7 @@
 
 Everything here is plain-Python double loops over raw value lists, apart from
 the per-point paths that vectorized kernels replaced, kept as they were: the
-per-digit loop of the van der Corput values, the per-class straggler loop of
-`buck_upper_per_level`, the mask-form cover check,
+per-class straggler loop of `buck_upper_per_level`, the mask-form cover check,
 the measurability check that materializes the complement's hits, the
 per-breakpoint EDF series, the per-row CSV formatter, the per-key primality check of an additive
 spec and the per-(member, point) `extend_eval` loop of the metric experiment.
@@ -205,20 +204,6 @@ def buck_measurability_oracle(pred, ladder, window_N, threshold, tolerance=0.05)
     up_c = tuple(saturation(hits_c, m) for m in usable)
     gaps = tuple(a + b - 1 for a, b in zip(up_s, up_c))
     return MeasurabilityReport(tuple(usable), up_s, up_c, gaps, tolerance)
-
-
-def vdc_values_oracle(chain, ns):
-    # one full-array floor division, remainder, division and sum per chain digit
-    ns = np.asarray(ns, dtype=np.int64)
-    top = int(ns.max()) if ns.size else 0
-    q = chain.ensure_capacity(top).moduli
-    vals = np.zeros(ns.shape, dtype=float)
-    for j in range(len(q) - 1):
-        if q[j] > top:
-            break
-        base = q[j + 1] // q[j]
-        vals += (ns // q[j]) % base / q[j + 1]
-    return vals
 
 
 def edf_series_oracle(F):
