@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 from typing import Callable, Iterable, Sequence
 
@@ -41,6 +42,13 @@ def _crt_intersect(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None
     return (r1 + m1 * t) % lcm, lcm
 
 
+def _check_pair(r: int, m: int) -> None:
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    if r < 0:
+        raise ValueError(f"residue must be >= 0, got {r}")
+
+
 @dataclass(frozen=True)
 class APSet:
     """Finite union of arithmetic progressions r+(m) = {r, r+m, r+2m, ...}.
@@ -51,13 +59,22 @@ class APSet:
 
     progressions: tuple[tuple[int, int], ...]
 
-    def __init__(self, progressions: Iterable[tuple[int, int]]):
+    def __init__(self, progressions: Iterable[tuple[int, int]] | np.ndarray):
+        if isinstance(progressions, np.ndarray):  # k x 2 integer array: the same steps, in bulk
+            r, m = progressions.reshape(-1, 2).T
+            bad = np.flatnonzero((m < 1) | (r < 0))
+            if bad.size:
+                _check_pair(int(r[bad[0]]), int(m[bad[0]]))
+            r = r % m
+            order = np.lexsort((m, r))
+            r, m = r[order], m[order]
+            fresh = np.ones(r.size, dtype=bool)
+            fresh[1:] = (r[1:] != r[:-1]) | (m[1:] != m[:-1])
+            object.__setattr__(self, "progressions", tuple(zip(r[fresh].tolist(), m[fresh].tolist())))
+            return
         pairs = set()
         for r, m in progressions:
-            if m < 1:
-                raise ValueError(f"modulus must be >= 1, got {m}")
-            if r < 0:
-                raise ValueError(f"residue must be >= 0, got {r}")
+            _check_pair(r, m)
             pairs.add((r % m, m))
         object.__setattr__(self, "progressions", tuple(sorted(pairs)))
 
@@ -281,8 +298,9 @@ def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
         if big_m is None:
             continue
         persistent = (counts >= threshold) & (np.bincount(res[recent_from:], minlength=m) > 0)
-        pairs = [(r, m) for r in np.flatnonzero(persistent).tolist()]
-        cost = Fraction(len(pairs), m)
+        residues = [np.flatnonzero(persistent)]
+        moduli = [np.full(residues[0].size, m, dtype=np.int64)]
+        cost = Fraction(residues[0].size, m)
         # stragglers grouped by class: class progression vs singletons, cheaper wins
         strag = hits[~persistent[res]]
         if strag.size:
@@ -296,10 +314,11 @@ def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
             classes, k = np.unique(cls[fresh], return_counts=True)
             # 1/m <= k/big_m, i.e. k*m >= big_m, kept free of int64 products
             whole = k >= -(-big_m // m)
-            pairs.extend((r, m) for r in classes[whole].tolist())
-            pairs.extend((x, big_m) for x in single[fresh][np.repeat(~whole, k)].tolist())
+            residues += [classes[whole], single[fresh][np.repeat(~whole, k)]]
+            moduli += [np.full(residues[-2].size, m, dtype=np.int64),
+                       np.full(residues[-1].size, big_m, dtype=np.int64)]
             cost += Fraction(int(whole.sum()), m) + Fraction(int(k[~whole].sum()), big_m)
-        cover = APSet(pairs)
+        cover = APSet(np.column_stack((np.concatenate(residues), np.concatenate(moduli))))
         _verify_cover(cover, hits)
         certs.append(CoverCertificate(cover, cost, N, m))
     gaps = tuple(a + b - 1 for a, b in zip(up_s, up_c))
@@ -367,10 +386,13 @@ def buck_upper_per_level(
 
 def _verify_cover(cover: APSet, hits: np.ndarray) -> None:
     """Raise DiagnosticError unless the cover's progressions hold every hit."""
+    flat = chain.from_iterable(cover.progressions)
+    residues, moduli = np.fromiter(flat, np.int64, 2 * len(cover.progressions)).reshape(-1, 2).T
     covered = np.zeros(hits.size, dtype=bool)
-    for m in {m for _, m in cover.progressions}:
+    for m in np.unique(moduli).tolist():
         held = np.zeros(min(m, int(hits.max(initial=0)) + 1), dtype=bool)  # classes hits reach
-        held[[r for r, q in cover.progressions if q == m and r < held.size]] = True
+        r = residues[moduli == m]
+        held[r[r < held.size]] = True
         covered |= held[hits % m]
     if not covered.all():
         raise DiagnosticError(f"cover misses window elements {hits[~covered][:5].tolist()}")

@@ -335,6 +335,25 @@ covers = st.lists(
 ).map(APSet)
 
 
+def construction(pairs):
+    try:
+        return "returned", APSet(pairs).progressions
+    except ValueError as e:
+        return "raised", str(e)
+
+
+class TestAPSetFromArray:
+    # residues and moduli on both sides of the valid range, repeats and one modulus near 2**61
+    @example(pairs=[(5, 2**61 - 1), (2**61, 2**61 - 1), (0, 3), (3, 3)])
+    @example(pairs=[(1, 2), (-1, 0)])
+    @given(st.lists(st.tuples(st.integers(-2, 60), st.sampled_from([*range(-1, 13), 30, 40320])),
+                    max_size=12))
+    @settings(max_examples=300)
+    def test_matches_pair_list(self, pairs):
+        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        assert construction(array) == construction(pairs)
+
+
 class TestVerifyCover:
     def test_missing_hit_is_a_measeq_error(self):
         hits = np.array([2, 4, 5, 8], dtype=np.int64)
