@@ -423,7 +423,7 @@ def _run_density(v, cfg: RunConfig):
                 "level": cert.level,
                 "cost": cert.cost,
                 "cost_float": float(cert.cost),
-                "cover_size": len(cert.cover.progressions),
+                "cover_size": len(cert.cover),
                 "verified_upto": cert.verified_upto,
             }
             for cert in certs

@@ -10,6 +10,7 @@ residue saturation along a divisibility ladder of moduli.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
@@ -42,6 +43,12 @@ def _crt_intersect(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None
     return (r1 + m1 * t) % lcm, lcm
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _check_pair(r: int, m: int) -> None:
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -49,15 +56,16 @@ def _check_pair(r: int, m: int) -> None:
         raise ValueError(f"residue must be >= 0, got {r}")
 
 
-@dataclass(frozen=True)
 class APSet:
     """Finite union of arithmetic progressions r+(m) = {r, r+m, r+2m, ...}.
 
-    Stored pairs are normalized to 0 <= r < m, deduplicated and sorted.
-    Membership is evaluated on positive integers only.
+    Pairs are normalized to 0 <= r < m, deduplicated and sorted by (r, m).
+    Membership is evaluated on positive integers only.  Built from pairs, the
+    set stores the `progressions` tuple, whose ints may pass int64; built from
+    a k x 2 integer array, it stores the normalized read-only int64 `arrays`
+    (residues, moduli) and builds `progressions` when that is first read.
+    Either form is derived from the other on demand; instances are immutable.
     """
-
-    progressions: tuple[tuple[int, int], ...]
 
     def __init__(self, progressions: Iterable[tuple[int, int]] | np.ndarray):
         if isinstance(progressions, np.ndarray):  # k x 2 integer array: the same steps, in bulk
@@ -70,13 +78,45 @@ class APSet:
             r, m = r[order], m[order]
             fresh = np.ones(r.size, dtype=bool)
             fresh[1:] = (r[1:] != r[:-1]) | (m[1:] != m[:-1])
-            object.__setattr__(self, "progressions", tuple(zip(r[fresh].tolist(), m[fresh].tolist())))
+            self.__dict__["arrays"] = _read_only(r[fresh], m[fresh])
             return
         pairs = set()
         for r, m in progressions:
             _check_pair(r, m)
             pairs.add((r % m, m))
-        object.__setattr__(self, "progressions", tuple(sorted(pairs)))
+        self.__dict__["progressions"] = tuple(sorted(pairs))
+
+    @cached_property
+    def progressions(self) -> tuple[tuple[int, int], ...]:
+        r, m = self.arrays
+        return tuple(zip(r.tolist(), m.tolist()))
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(residues, moduli) as int64 arrays in the order of `progressions`."""
+        flat = chain.from_iterable(self.progressions)
+        return _read_only(*np.fromiter(flat, np.int64, 2 * len(self.progressions)).reshape(-1, 2).T)
+
+    def __len__(self) -> int:
+        """The number of progressions, read from whichever form is stored."""
+        pairs = self.__dict__.get("progressions")
+        return len(pairs) if pairs is not None else self.arrays[0].size
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.progressions == other.progressions
+
+    def __hash__(self) -> int:
+        return hash(self.progressions)
+
+    def __repr__(self) -> str:
+        return f"APSet(progressions={self.progressions!r})"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"APSet is immutable: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
 
     @classmethod
     def single(cls, r: int, m: int) -> "APSet":
@@ -289,6 +329,7 @@ def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
     # hits[recent_from:] lie past the recency cut 2N/3; without it any hit will do
     recent_from = np.searchsorted(hits, (2 * N) // 3, side="right") if require_recent else 0
     certs, up_s, up_c = [], [], []
+    hb = None  # hits % big_m, taken at the first level that has stragglers
     for m in levels:
         res = hits % m
         counts = np.bincount(res, minlength=m)
@@ -302,11 +343,13 @@ def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
         moduli = [np.full(residues[0].size, m, dtype=np.int64)]
         cost = Fraction(residues[0].size, m)
         # stragglers grouped by class: class progression vs singletons, cheaper wins
-        strag = hits[~persistent[res]]
-        if strag.size:
+        strag = ~persistent[res]
+        if strag.any():
             # distinct (class, singleton) pairs in class order; a singleton that
             # two classes share (m need not divide big_m) counts in both
-            cls, single = strag % m, strag % big_m
+            if hb is None:
+                hb = hits % big_m
+            cls, single = res[strag], hb[strag]
             order = np.lexsort((single, cls))
             cls, single = cls[order], single[order]
             fresh = np.ones(cls.size, dtype=bool)
@@ -319,7 +362,7 @@ def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
                        np.full(residues[-1].size, big_m, dtype=np.int64)]
             cost += Fraction(int(whole.sum()), m) + Fraction(int(k[~whole].sum()), big_m)
         cover = APSet(np.column_stack((np.concatenate(residues), np.concatenate(moduli))))
-        _verify_cover(cover, hits)
+        _verify_cover(cover, hits, {big_m: hb, m: res} if hb is not None else {m: res})
         certs.append(CoverCertificate(cover, cost, N, m))
     gaps = tuple(a + b - 1 for a, b in zip(up_s, up_c))
     return mask, certs, MeasurabilityReport(levels, tuple(up_s), tuple(up_c), gaps, tolerance)
@@ -384,16 +427,25 @@ def buck_upper_per_level(
                  require_recent=require_recent)[1]
 
 
-def _verify_cover(cover: APSet, hits: np.ndarray) -> None:
-    """Raise DiagnosticError unless the cover's progressions hold every hit."""
-    flat = chain.from_iterable(cover.progressions)
-    residues, moduli = np.fromiter(flat, np.int64, 2 * len(cover.progressions)).reshape(-1, 2).T
+def _verify_cover(cover: APSet, hits: np.ndarray,
+                  residues: dict[int, np.ndarray] | None = None) -> None:
+    """Raise DiagnosticError unless the cover's progressions hold every hit.
+
+    `residues` may give `hits % q` for some moduli q, as the caller already
+    holds them; a modulus of the cover that it lacks is reduced here.  The
+    held classes come from the cover itself, so a residue table for a modulus
+    the cover does not use is never read."""
+    cover_r, cover_m = cover.arrays
+    residues = residues or {}
+    reach = int(hits.max(initial=0)) + 1  # classes past the largest hit hold nothing
+    moduli = np.sort(cover_m)
     covered = np.zeros(hits.size, dtype=bool)
-    for m in np.unique(moduli).tolist():
-        held = np.zeros(min(m, int(hits.max(initial=0)) + 1), dtype=bool)  # classes hits reach
-        r = residues[moduli == m]
+    for m in moduli[np.diff(moduli, prepend=0) > 0].tolist():
+        held = np.zeros(min(m, reach), dtype=bool)
+        r = cover_r[cover_m == m]
         held[r[r < held.size]] = True
-        covered |= held[hits % m]
+        res = residues.get(m)
+        covered |= held[hits % m if res is None else res]
     if not covered.all():
         raise DiagnosticError(f"cover misses window elements {hits[~covered][:5].tolist()}")
 

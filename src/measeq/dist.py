@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isnan
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -345,11 +346,16 @@ def convolve_edf(F: EDF, F1: EDF, max_atoms: int = 4_000_000) -> EDF:
 
     Exact: atoms at all pairwise breakpoint sums with product masses,
     coalescing equal sums.  The caller must pre-coarsen inputs whose
-    atom product exceeds `max_atoms`.
+    atom product exceeds `max_atoms`.  An atom at +inf in one factor and at
+    -inf in the other has no sum (DomainError); breakpoints are sorted, so
+    only the end atoms can meet that way.
     """
     j1, j2 = F.breakpoints.size, F1.breakpoints.size
     if j1 * j2 > max_atoms:
         raise CapacityError(f"{j1} x {j2} atoms exceed the cap {max_atoms}")
+    (lo, hi), (lo1, hi1) = F.breakpoints[[0, -1]].tolist(), F1.breakpoints[[0, -1]].tolist()
+    if isnan(lo + hi1) or isnan(hi + lo1):
+        raise DomainError("an atom at +inf and one at -inf have no sum")
     sums = np.add.outer(F.breakpoints, F1.breakpoints).ravel()
     masses = np.multiply.outer(F.jumps, F1.jumps).ravel()
     bp, inverse = np.unique(sums, return_inverse=True)

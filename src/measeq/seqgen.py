@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import lcm
+from math import isnan, lcm
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -202,13 +202,17 @@ class AdditiveFunctionSpec:
         for (p, v), prime in zip(pairs, _prime_flags([p for p, _ in pairs])):
             if not prime:
                 raise SpecificationError(f"{p} is not prime")
-            if v < 0:
+            if not v >= 0:
+                if isnan(v):
+                    raise ValueError(f"f({p}) is NaN")
                 raise SpecificationError(f"f({p}) = {v} is negative")
             if v != 0.0:
                 if v in seen_nonzero:
                     raise SpecificationError(f"duplicate prime value {v}")
                 seen_nonzero.add(v)
-        if tail_bound < 0:
+        if not tail_bound >= 0:
+            if isnan(tail_bound):
+                raise ValueError("tail bound is NaN")
             raise SpecificationError("tail bound must be >= 0")
         object.__setattr__(self, "prime_values", pairs)
         object.__setattr__(self, "tail_bound", float(tail_bound))
@@ -292,6 +296,8 @@ class SimpleSpec:
 
     def __init__(self, parts: Iterable[tuple[APSet, float]]):
         parts = tuple((s, float(c)) for s, c in parts)
+        if any(isnan(c) for _, c in parts):
+            raise ValueError("part values must not be NaN")
         for i, (s1, _) in enumerate(parts):
             for s2, _ in parts[i + 1 :]:
                 if s1.intersects(s2):
@@ -349,6 +355,8 @@ class PeriodicTable:
         self.values = tuple(float(v) for v in values)
         if not self.values:
             raise ValueError("period table must be nonempty")
+        if any(isnan(v) for v in self.values):
+            raise ValueError("period table values must not be NaN")
 
     @property
     def period(self) -> int:

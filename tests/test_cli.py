@@ -295,6 +295,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["run refused: cover misses window elements [1, 4, 9, 16, 25]"]
 
+    @pytest.mark.parametrize("inf, inf2", [("Infinity", "-Infinity"), ("-Infinity", "Infinity")])
+    def test_conv_of_opposite_infinite_atoms_is_refused(self, capsys, inf, inf2):
+        argv = ["dist", "conv", "--seq", f'{{"kind":"periodic","values":[{inf},0]}}',
+                "--seq2", f'{{"kind":"periodic","values":[{inf2},2]}}', "--n", "4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "run refused: an atom at +inf and one at -inf have no sum"
+        ]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -328,6 +337,11 @@ class TestExitCodes:
             ["exp", "sss", "--config", '{"bases":[3,5,7],"g":["x","x","x","x"]}'],
             ["polyadic", "sample", "--levels", "3,5"],
             ["polyadic", "sample", "--levels", "2,6,6"],
+            ["gen", "--spec", '{"kind":"periodic","values":[NaN]}', "--n", "3"],
+            ["dist", "moments", "--seq", '{"kind":"simple","parts":[{"r":0,"m":2,"c":NaN}]}'],
+            ["dist", "moments", "--seq", '{"kind":"additive","primes":{"2":NaN}}', "--n", "2"],
+            ["dist", "moments", "--seq", '{"kind":"additive","primes":{"2":1},"tail":NaN}',
+             "--n", "2"],
         ],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, monkeypatch, capsys, argv):

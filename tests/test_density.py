@@ -354,6 +354,34 @@ class TestAPSetFromArray:
         assert construction(array) == construction(pairs)
 
 
+    @example(pairs=[(5, 2**61 - 1), (2**61 - 2, 2**61 - 1), (0, 3), (3, 3)], other=APSet([(2, 3)]),
+             N=40, read_first=False)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from([*range(1, 13), 30, 40320])),
+                    max_size=12),
+           aps, st.integers(1, 200), st.booleans())
+    @settings(max_examples=300)
+    def test_agrees_with_pair_built(self, pairs, other, N, read_first):
+        by_pairs = APSet(pairs)
+        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+        def by_array():
+            # a fresh set for each check, so that no check runs on a tuple an earlier one built
+            s = APSet(array)
+            if read_first:
+                s.progressions
+            return s
+
+        assert by_array().progressions == by_pairs.progressions
+        assert by_array() == by_pairs and by_pairs == by_array()
+        assert hash(by_array()) == hash(by_pairs)
+        assert len(by_array()) == len(by_pairs)
+        assert all(np.array_equal(a, b) for a, b in zip(by_array().arrays, by_pairs.arrays))
+        assert np.array_equal(by_array().mask(N), by_pairs.mask(N))
+        assert by_array().intersects(other) == by_pairs.intersects(other)
+        assert other.intersects(by_array()) == other.intersects(by_pairs)
+        assert [n in by_array() for n in range(1, N + 1)] == [n in by_pairs for n in range(1, N + 1)]
+
+
 class TestVerifyCover:
     def test_missing_hit_is_a_measeq_error(self):
         hits = np.array([2, 4, 5, 8], dtype=np.int64)
@@ -369,6 +397,40 @@ class TestVerifyCover:
         assert outcome(_verify_cover, cover, hits) == outcome(
             oracles.verify_cover_oracle, cover, hits, mask.size
         )
+
+
+    @example(cover=APSet([(0, 3), (3, 7)]), mask=hits_at(60, 10, 45), ladder=(3, 5, 7))
+    @given(covers, window_masks, straggler_ladders)
+    @settings(max_examples=300, deadline=None)
+    def test_with_residue_tables_matches_mask_oracle(self, cover, mask, ladder):
+        # tables for the ladder's moduli, which the cover may use in part or not at all
+        hits = np.flatnonzero(mask).astype(np.int64) + 1
+        residues = {q: hits % q for q in ladder}
+        assert outcome(_verify_cover, cover, hits, residues) == outcome(
+            oracles.verify_cover_oracle, cover, hits, mask.size
+        )
+
+    @given(window_masks, straggler_ladders, st.integers(1, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_mutations_are_refused(self, mask, ladder, threshold, data):
+        N, big_m = mask.size, max(ladder)
+        hits = np.flatnonzero(mask).astype(np.int64) + 1
+        if N < threshold * min(ladder) or not hits.size:
+            return
+        for cert in buck_upper_per_level(mask_predicate(mask), ladder, N, threshold):
+            # the tables the scan passes, plus a bogus one for a modulus the cover does not use
+            used = {m for _, m in cert.cover.progressions}
+            unused = next(q for q in range(1, 3000) if q not in used)
+            residues = {cert.level: hits % cert.level, big_m: hits % big_m,
+                        unused: np.zeros_like(hits)}
+            _verify_cover(cert.cover, hits, residues)
+            # drop a progression that alone holds some hit
+            pairs = np.array(cert.cover.progressions, dtype=np.int64)
+            holds = np.array([hits % m == r for r, m in pairs])
+            sole = np.flatnonzero((holds & (holds.sum(axis=0) == 1)).any(axis=1))
+            dropped = APSet(np.delete(pairs, data.draw(st.sampled_from(sole.tolist())), axis=0))
+            with pytest.raises(DiagnosticError, match="cover misses window elements"):
+                _verify_cover(dropped, hits, residues)
 
 
 class TestMeasurability:

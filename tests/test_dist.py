@@ -395,6 +395,18 @@ class TestConvolution:
         with pytest.raises(CapacityError):
             convolve_edf(F, F, max_atoms=1_000_000)
 
+    @pytest.mark.parametrize("a, b", [(np.inf, -np.inf), (-np.inf, np.inf)])
+    def test_opposite_infinite_atoms_are_a_domain_error(self, a, b):
+        with pytest.raises(DomainError, match="no sum"):
+            convolve_edf(EDF.from_values([a, 0.0]), EDF.from_values([b, 2.0]))
+
+    @pytest.mark.parametrize("a, b, sums", [
+        ([np.inf, 0.0], [np.inf, 2.0], [2.0, np.inf]),
+        ([-np.inf, np.inf], [1.0, 2.0], [-np.inf, np.inf]),
+    ])
+    def test_infinite_atoms_without_opposite_sums(self, a, b, sums):
+        assert convolve_edf(EDF.from_values(a), EDF.from_values(b)).breakpoints.tolist() == sums
+
     def test_against_dict_oracle(self):
         F, G = edf(vdc_window(2, 12)), edf(vdc_window(3, 9))
         got = convolve_edf(F, G)
