@@ -180,6 +180,14 @@ def parse_ladder(text: str) -> tuple[int, ...]:
         return tuple(_count(int(float(x))) for x in text.split(","))
 
 
+def parse_density_ladder(text: str) -> tuple[int, ...]:
+    """A ladder whose moduli fit the int64 residues of `density`."""
+    levels = parse_ladder(text)
+    if max(levels) > de.MAX_MODULUS:
+        raise ConfigError(f"bad ladder {text!r}: density moduli must be at most 2**63 - 1")
+    return levels
+
+
 def parse_chain(text: str) -> tuple[int, ...]:
     """A ladder that increases by divisibility, as `sample_omega` needs."""
     levels = parse_ladder(text)
@@ -571,7 +579,7 @@ _COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
         Param("pred", (str, dict), "predicate spec", required=True),
         Param("grid", (str,), 'window grid "A..B" (doubling) or a comma list',
               default="1e3..1e6", convert=parse_grid),
-        _LADDER,
+        replace(_LADDER, convert=parse_density_ladder),
         Param("threshold", (int,), "hits that make a residue class persistent",
               default=de.DEFAULT_THRESHOLD, echo=True, least=1),
         Param("window", (int,), "window of the cover search", least=1,

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, DiagnosticError
-from .primes import is_prime, prime_mask
+from .primes import prime_mask
 
 FACTORIAL_LADDER = (1, 2, 6, 24, 120, 720, 5040, 40320)
 PRIMORIAL_LADDER = (1, 2, 6, 30, 210, 2310, 30030)
@@ -28,6 +28,8 @@ PRIMORIAL_LADDER = (1, 2, 6, 30, 210, 2310, 30030)
 # when the window shows at least this many hits
 DEFAULT_THRESHOLD = 3
 DEFAULT_GAP_TOLERANCE = 0.05
+# residues are taken in int64, so no ladder modulus may pass it
+MAX_MODULUS = 2**63 - 1
 
 
 def _crt_intersect(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -172,32 +174,33 @@ def ap_union_density(s: APSet, term_limit: int = 200_000) -> Fraction:
 
 
 class Predicate:
-    """Membership predicate on positive integers with a vectorized window mask.
+    """Membership predicate on positive integers, held as its window mask:
+    `mask(N)` gives membership of n = 1..N, and `pred(n)` reads it at n.
 
     `max_n` restricts window-backed predicates to the data they carry.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[int], bool],
-        mask_fn: Callable[[int], np.ndarray] | None = None,
-        name: str = "pred",
-        max_n: int | None = None,
-    ):
-        self._fn = fn
-        self._mask_fn = mask_fn
+    def __init__(self, *, mask: Callable[[int], np.ndarray], name: str = "pred",
+                 max_n: int | None = None):
+        self._mask_fn = mask
         self.name = name
         self.max_n = max_n
 
+    @classmethod
+    def from_callable(cls, fn: Callable[[int], bool], name: str = "pred") -> "Predicate":
+        """The predicate of a plain n -> bool callable; its mask calls fn once per n."""
+        return cls(mask=lambda N: np.fromiter(map(fn, range(1, N + 1)), dtype=bool, count=N),
+                   name=name)
+
     def __call__(self, n: int) -> bool:
-        return bool(self._fn(n))
+        if n < 1:
+            raise ValueError(f"predicates hold positive integers, got {n}")
+        return bool(self.mask(n)[n - 1])
 
     def mask(self, N: int) -> np.ndarray:
         """Boolean membership array for n = 1..N."""
         self._require(N)
-        if self._mask_fn is not None:
-            return self._mask_fn(N)
-        return np.fromiter((self._fn(n) for n in range(1, N + 1)), dtype=bool, count=N)
+        return self._mask_fn(N)
 
     def _require(self, N: int) -> None:
         if self.max_n is not None and N > self.max_n:
@@ -210,7 +213,7 @@ class Predicate:
 
 
 def ap_predicate(s: APSet) -> Predicate:
-    return Predicate(lambda n: n in s, s.mask, name=f"ap{list(s.progressions)}")
+    return Predicate(mask=s.mask, name=f"ap{list(s.progressions)}")
 
 
 def squares_predicate() -> Predicate:
@@ -220,11 +223,11 @@ def squares_predicate() -> Predicate:
         out[ks * ks - 1] = True
         return out
 
-    return Predicate(lambda n: isqrt(n) ** 2 == n, mask, name="squares")
+    return Predicate(mask=mask, name="squares")
 
 
 def primes_predicate() -> Predicate:
-    return Predicate(is_prime, lambda N: prime_mask(N)[1:], name="primes")
+    return Predicate(mask=lambda N: prime_mask(N)[1:], name="primes")
 
 
 def blocks_predicate() -> Predicate:
@@ -238,28 +241,22 @@ def blocks_predicate() -> Predicate:
             lo *= 4
         return out
 
-    return Predicate(lambda n: n.bit_length() % 2 == 1, mask, name="blocks")
+    return Predicate(mask=mask, name="blocks")
 
 
 def window_level_set(w, lo: float = -np.inf, hi: float = np.inf) -> Predicate:
     """Predicate n -> v(n) in [lo, hi) for a sequence window (half-open)."""
     values = np.asarray(w.values, dtype=float)
-    N = len(values)
 
     def mask(upto: int) -> np.ndarray:
         return (values[:upto] >= lo) & (values[:upto] < hi)
 
-    return Predicate(
-        lambda n: bool(lo <= values[n - 1] < hi),
-        mask,
-        name=f"level[{lo},{hi})",
-        max_n=N,
-    )
+    return Predicate(mask=mask, name=f"level[{lo},{hi})", max_n=len(values))
 
 
 def _as_predicate(pred) -> Predicate:
-    """A Predicate as is; a plain callable wrapped, so its mask is scalar calls."""
-    return pred if isinstance(pred, Predicate) else Predicate(pred)
+    """A Predicate as is; a plain callable through `Predicate.from_callable`."""
+    return pred if isinstance(pred, Predicate) else Predicate.from_callable(pred)
 
 
 def count_in_window(pred, N: int) -> int:
@@ -314,20 +311,21 @@ def asymptotic_density_profile(
 
 
 def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
-          tolerance: float = DEFAULT_GAP_TOLERANCE, big_m: int | None = None,
-          require_recent: bool = True, upto: int = 0):
+          tolerance: float = DEFAULT_GAP_TOLERANCE, big_m: int | None = None, upto: int = 0):
     """(mask of [1, max(N, upto)], certificates if `big_m` is given, MeasurabilityReport)
     from the hits per class at each usable level m.  The complement's count in class r is
     its size, N // m if r = 0 else (N - r) // m + 1 (0 if r > N), minus the set's count."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
+    if max(ladder, default=1) > MAX_MODULUS:
+        raise ValueError(f"ladder moduli must be at most 2**63 - 1, got {max(ladder)}")
     levels = tuple(m for m in ladder if N >= threshold * m)
     if not levels:
         raise DiagnosticError(f"window {N} cannot classify residues at any ladder level")
     mask = _as_predicate(pred).mask(max(N, upto))
     hits = np.flatnonzero(mask[:N]).astype(np.int64, copy=False) + 1
-    # hits[recent_from:] lie past the recency cut 2N/3; without it any hit will do
-    recent_from = np.searchsorted(hits, (2 * N) // 3, side="right") if require_recent else 0
+    # hits[recent_from:] lie past the recency cut 2N/3
+    recent_from = np.searchsorted(hits, (2 * N) // 3, side="right")
     certs, up_s, up_c = [], [], []
     hb = None  # hits % big_m, taken at the first level that has stragglers
     for m in levels:
@@ -398,12 +396,11 @@ def buck_upper(
     ladder: Sequence[int] = FACTORIAL_LADDER,
     window_N: int = 100_000,
     threshold: int = DEFAULT_THRESHOLD,
-    require_recent: bool = True,
 ) -> CoverCertificate:
     """Cheapest progression-cover certificate found along the ladder.
 
     At each ladder modulus m, residue classes hit persistently (>= threshold
-    hits, last hit in the final third of the window when `require_recent`)
+    hits, last hit in the final third of the window)
     enter the cover as r+(m).  The stragglers of each remaining class r are
     covered by r+(m) when 1/m <= k/big_m, with big_m = max(ladder) and k the
     number of distinct straggler residues x mod big_m in that class (a tie
@@ -411,7 +408,7 @@ def buck_upper(
     counts a singleton once for each class it serves, even when m does not
     divide big_m and two classes share it.
     """
-    certs = buck_upper_per_level(pred, ladder, window_N, threshold, require_recent)
+    certs = buck_upper_per_level(pred, ladder, window_N, threshold)
     return min(certs, key=lambda c: c.cost)
 
 
@@ -420,11 +417,9 @@ def buck_upper_per_level(
     ladder: Sequence[int] = FACTORIAL_LADDER,
     window_N: int = 100_000,
     threshold: int = DEFAULT_THRESHOLD,
-    require_recent: bool = True,
 ) -> list[CoverCertificate]:
     """One certificate per usable ladder level (see `buck_upper`)."""
-    return _scan(pred, ladder, window_N, threshold, big_m=max(ladder),
-                 require_recent=require_recent)[1]
+    return _scan(pred, ladder, window_N, threshold, big_m=max(ladder))[1]
 
 
 def _verify_cover(cover: APSet, hits: np.ndarray,

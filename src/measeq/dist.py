@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     WindowRangeError,
 )
-from .seqgen import SequenceWindow
+from .seqgen import SequenceWindow, apply_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,24 +118,9 @@ def linearity_check(v: SequenceWindow, w: SequenceWindow, a: float, b: float) ->
     return abs(lhs - (a * float(v.values.mean()) + b * float(w.values.mean())))
 
 
-def _apply(g: Callable, xs: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(g(xs), dtype=float)
-        if out.shape != xs.shape:
-            raise TypeError
-    except Exception:
-        try:
-            out = np.array([g(float(x)) for x in xs], dtype=float)
-        except Exception as e:
-            raise DomainError(f"test function failed on values: {e}") from e
-    if not np.isfinite(out).all():
-        raise DomainError("test function is not finite on the required range")
-    return out
-
-
 def stieltjes_mean(F: EDF, g: Callable[[float], float]) -> float:
     """Exact Stieltjes integral of g against the step distribution."""
-    return float(np.sum(_apply(g, F.breakpoints) * F.jumps))
+    return float(np.sum(apply_values(g, F.breakpoints) * F.jumps))
 
 
 class Correlation(NamedTuple):
@@ -221,8 +206,8 @@ def statistical_independence_stat(
         raise WindowRangeError(f"length mismatch: {len(v)} vs {len(w)}")
     fam = tuple(family) if family is not None else DEFAULT_TEST_FAMILY
     label = TEST_FAMILY_VERSION if family is None else f"custom[{len(fam)}]"
-    gv = [(name, _apply(g, v.values)) for name, g in fam]
-    g1w = [(name, _apply(g, w.values)) for name, g in fam]
+    gv = [(name, apply_values(g, v.values)) for name, g in fam]
+    g1w = [(name, apply_values(g, w.values)) for name, g in fam]
     means_w = [float(b.mean()) for _, b in g1w]
     table = []
     for name_g, a in gv:

@@ -26,7 +26,7 @@ from .polyadic import (
     weak_continuity_profile,
 )
 from .primes import first_primes
-from .seqgen import BaseChain, SequenceWindow, VdcSequence, subsequence
+from .seqgen import BaseChain, SequenceWindow, VdcSequence, apply_values, subsequence
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -373,6 +373,7 @@ def composed_independence_check(
 
     For each tuple (g_1, ..., g_r) the deviation is
     |E_N(prod g_j(v_j(k))) - prod E_N(g_j(v_j(k)))|; the statistic is the max.
+    A g that fails or is not finite on its member's values raises DomainError.
     """
     k = np.asarray(k, dtype=np.int64)
     gate = niven_ud_test(k, niven_M, threshold=niven_threshold)
@@ -390,9 +391,7 @@ def composed_independence_check(
     for t, gs in enumerate(g_family):
         if len(gs) != len(family):
             raise ValueError(f"tuple {t} has {len(gs)} functions for {len(family)} members")
-        arrays = [
-            np.asarray(g(s.values), dtype=float) for g, s in zip(gs, resampled)
-        ]
+        arrays = [apply_values(g, s.values) for g, s in zip(gs, resampled)]
         prod = arrays[0].copy()
         for a in arrays[1:]:
             prod *= a

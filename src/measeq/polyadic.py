@@ -19,7 +19,7 @@ import numpy as np
 from .density import APSet, FACTORIAL_LADDER
 from .errors import ContinuityBudgetError, DiagnosticError, ResolutionError
 from .primes import divisors
-from .seqgen import PeriodicTable, SequenceWindow
+from .seqgen import CallableSequence, PeriodicTable, SequenceWindow
 
 __all__ = [
     "DyadicRational",
@@ -160,18 +160,16 @@ def sample_omega(seed: int, ladder: Sequence[int]) -> OmegaPoint:
     return OmegaPoint(levels, tuple(residues))
 
 
-def _eval(h, n: int) -> float:
-    if hasattr(h, "eval"):
-        return float(h.eval(n))
-    return float(h(n))
+def _handle(v):
+    """A sequence handle as is; a bare n -> value callable wrapped once."""
+    return v if hasattr(v, "eval") else CallableSequence(v)
 
 
 def _eval_block(h, m: int) -> np.ndarray:
-    """Values h(0), ..., h(m-1), vectorized through the handle when possible."""
-    if hasattr(h, "window") and m > 1:
-        head = np.array([_eval(h, 0)])
-        return np.concatenate([head, h.window(m - 1).values])
-    return np.array([_eval(h, s) for s in range(m)], dtype=float)
+    """Values h(0), ..., h(m-1): h(0), then one window of the handle."""
+    h = _handle(h)
+    head = np.array([float(h.eval(0))])
+    return np.concatenate([head, h.window(m - 1).values]) if m > 1 else head[:m]
 
 
 def periodize(h, m: int) -> PeriodicTable:
@@ -210,12 +208,7 @@ def _window_values(v, window_N: int | None, ladder: Sequence[int]) -> np.ndarray
     if isinstance(v, SequenceWindow):
         vals = v.values
     else:
-        vals = None
-        if hasattr(v, "window"):
-            vals = v.window(window_N or need).values
-        else:
-            n = window_N or need
-            vals = np.array([_eval(v, i) for i in range(1, n + 1)], dtype=float)
+        vals = _handle(v).window(window_N or need).values
     if vals.size < need:
         raise DiagnosticError(
             f"window of {vals.size} too short for ladder max {max(ladder)} "
@@ -307,14 +300,9 @@ class HaarTrace:
     value: float
     levels: tuple[int, ...]
     means: tuple[float, ...]
-    continuity: ContinuityProfile | None = None
 
 
-def haar_integral(
-    h,
-    ladder: Sequence[int] = FACTORIAL_LADDER,
-    check_continuity: Sequence[float] | None = None,
-) -> HaarTrace:
+def haar_integral(h, ladder: Sequence[int] = FACTORIAL_LADDER) -> HaarTrace:
     """Period means of h along the ladder, converging to the Haar average
     when h is congruence-continuous.  Non-settling traces are returned as-is.
     """
@@ -322,31 +310,28 @@ def haar_integral(
     top = ladder[-1]
     vals = _eval_block(h, top)
     means = tuple(float(vals[:m].mean()) for m in ladder)
-    profile = None
-    if check_continuity is not None:
-        profile = p_continuity_profile(h, check_continuity, ladder)
-    return HaarTrace(means[-1], tuple(ladder), means, profile)
+    return HaarTrace(means[-1], tuple(ladder), means)
 
 
-def _analytic_witness(v, eps: float) -> int | None:
-    fn = getattr(v, "witness", None)
-    if fn is None:
-        return None
-    return fn(eps)
+# window length scanned for a continuity witness when the handle has no closed form
+PROFILE_WINDOW = 4096
 
 
-def extend_eval(v, alpha: OmegaPoint, eps: float, profile_window: int = 4096) -> float:
+def extend_eval(v, alpha: OmegaPoint, eps: float) -> float:
     """Value of the extension of v at alpha, within eps of any representative.
 
     Needs a continuity witness m(eps) dividing one of alpha's ladder levels:
     from the handle's closed form when available, otherwise from a window
     scan over the ladder levels small enough to profile.
     """
-    m = _analytic_witness(v, eps)
+    if not isinstance(v, SequenceWindow):
+        v = _handle(v)
+    witness = getattr(v, "witness", None)
+    m = None if witness is None else witness(eps)
     if m is None:
-        usable = [lev for lev in alpha.levels if 2 * lev <= profile_window]
+        usable = [lev for lev in alpha.levels if 2 * lev <= PROFILE_WINDOW]
         if usable:
-            prof = p_continuity_profile(v, [eps], usable, window_N=profile_window)
+            prof = p_continuity_profile(v, [eps], usable, window_N=PROFILE_WINDOW)
             m = prof.witness_for(eps)
         if m is None:
             raise ResolutionError(
@@ -358,4 +343,4 @@ def extend_eval(v, alpha: OmegaPoint, eps: float, profile_window: int = 4096) ->
         if rep > len(v):
             raise ResolutionError(f"window too short to represent class {r} mod {m}")
         return v.value(rep)
-    return _eval(v, r)
+    return float(v.eval(r))

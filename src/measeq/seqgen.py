@@ -313,7 +313,7 @@ class SimpleSpec:
 
     def eval(self, n: int) -> float:
         for s, c in self.parts:
-            if any(n % m == r for r, m in s.progressions):
+            if n in s:
                 return c
         return 0.0
 
@@ -434,18 +434,24 @@ def subsequence(w: SequenceWindow, indices) -> SequenceWindow:
     return SequenceWindow(w.values[idx - 1], bounds=w.bounds)
 
 
-def apply_pointwise(g: Callable[[float], float], w: SequenceWindow) -> SequenceWindow:
-    """Window of g(v(n)); bounds are the sampled min/max of the image."""
+def apply_values(g: Callable, xs: np.ndarray) -> np.ndarray:
+    """g at each value of xs: one vectorized call when g takes arrays, else one
+    call per value; DomainError when g fails or is not finite on xs."""
     try:
         with np.errstate(all="ignore"):
-            vals = np.asarray(g(w.values), dtype=float)
-        if vals.shape != w.values.shape:
+            vals = np.asarray(g(xs), dtype=float)
+        if vals.shape != xs.shape:
             raise TypeError
     except Exception:
         try:
-            vals = np.array([g(float(x)) for x in w.values], dtype=float)
+            vals = np.array([g(float(x)) for x in xs], dtype=float)
         except Exception as e:
             raise DomainError(f"function failed on window values: {e}") from e
     if not np.isfinite(vals).all():
         raise DomainError("function is not finite on the window range")
-    return SequenceWindow(vals)
+    return vals
+
+
+def apply_pointwise(g: Callable[[float], float], w: SequenceWindow) -> SequenceWindow:
+    """Window of g(v(n)); bounds are the sampled min/max of the image."""
+    return SequenceWindow(apply_values(g, w.values))

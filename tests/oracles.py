@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations for window statistics.
 
 Everything here is plain-Python double loops over raw value lists, apart from
-the per-point paths that vectorized kernels replaced, kept as they were: the
+the scalar membership rules of the built-in predicates and the per-point
+paths that vectorized kernels replaced, kept as they were: the
 per-class straggler loop of `buck_upper_per_level`, the mask-form cover check,
 the measurability check that materializes the complement's hits, the
 per-breakpoint EDF series, the per-row CSV formatter, the per-key primality check of an additive
@@ -138,7 +139,25 @@ def rough_count_oracle(N, y):
     return sum(1 for n in range(1, N + 1) if all(n % p for p in primes))
 
 
-def buck_upper_per_level_oracle(pred, ladder, window_N, threshold, require_recent):
+# scalar membership rules of the built-in predicates, which hold only their masks
+def is_square(n):
+    return math.isqrt(n) ** 2 == n
+
+
+def in_blocks(n):
+    # n lies in some [4^k, 2 * 4^k) exactly when it has an odd number of binary digits
+    return n.bit_length() % 2 == 1
+
+
+def in_apset(s, n):
+    return n in s
+
+
+def in_level_set(values, lo, hi, n):
+    return lo <= values[n - 1] < hi
+
+
+def buck_upper_per_level_oracle(pred, ladder, window_N, threshold):
     # one rescan of the stragglers per residue class: class progression r+(m)
     # when 1/m <= k/big_m for its k distinct singletons mod big_m, else those
     hits = np.flatnonzero(pred.mask(window_N)).astype(np.int64) + 1
@@ -149,7 +168,7 @@ def buck_upper_per_level_oracle(pred, ladder, window_N, threshold, require_recen
         res = hits % m if hits.size else np.zeros(0, dtype=np.int64)
         counts = np.bincount(res, minlength=m)
         persistent = counts >= threshold
-        if require_recent and hits.size:
+        if hits.size:
             last = np.zeros(m, dtype=np.int64)
             np.maximum.at(last, res, hits)
             persistent &= last > recent_cut

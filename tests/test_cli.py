@@ -268,6 +268,18 @@ class TestExitCodes:
             f"config error: bad ladder 'factorial:{k}': factorial:K needs an integer K in 1..8"
         ]
 
+    @pytest.mark.parametrize("pred", ["primes", "squares"])
+    def test_density_ladder_past_int64_is_config_error(self, capsys, pred):
+        ladder = "1,2,6,100000000000000000000"
+        assert main(["density", "--pred", pred, "--ladder", ladder, "--window", "1000"]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: bad ladder '{ladder}': density moduli must be at most 2**63 - 1"
+        ]
+
+    def test_polyadic_levels_past_int64_are_accepted(self, capsys):
+        assert main(["polyadic", "sample", "--levels", "1,2,100000000000000000000"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["levels"][-1] == 10**20
+
     def test_factorial_ladder_prefix(self):
         assert parse_ladder("factorial:3") == (1, 2, 6)
         assert parse_ladder("factorial:8") == FACTORIAL_LADDER
@@ -558,6 +570,9 @@ def test_documented_examples_run(tmp_path, monkeypatch, capsys, doc):
         assert main(argv) == 0, argv
     if doc != "README.md":
         return
+    # the library sketch as written
+    sketch = (ROOT / "README.md").read_text().split("## Library sketch", 1)[1]
+    exec(sketch.split("```python", 1)[1].split("```", 1)[0], {})
     # the scripts as written, from the repository root's scripts/, writing under tmp_path
     scripts = _script_lines()
     assert [argv[:2] for argv in scripts] == [

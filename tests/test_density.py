@@ -25,10 +25,12 @@ from measeq.density import (
     residue_saturation,
     squares_predicate,
     survey,
+    window_level_set,
     Predicate,
     _verify_cover,
 )
 from measeq.errors import DiagnosticError, MeaseqError
+from measeq.seqgen import BaseChain, SequenceWindow, VdcSequence
 
 
 def union_density_by_enumeration(s: APSet) -> Fraction:
@@ -73,6 +75,40 @@ class TestCounting:
         mask = s.mask(N)
         for n in (1, N // 2 or 1, N):
             assert mask[n - 1] == (n in s)
+
+
+# window lengths at the block edges 4^k - 1, 4^k and 2 * 4^k, and anywhere
+edge_k = st.integers(0, 5)
+mask_sizes = st.one_of(edge_k.map(lambda k: 4**k - 1), edge_k.map(lambda k: 4**k),
+                       edge_k.map(lambda k: 2 * 4**k), st.integers(0, 3000))
+
+
+class TestPredicates:
+    @given(mask_sizes, aps, st.floats(0, 1), st.floats(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_builtin_masks_match_scalar_rules(self, N, s, lo, hi):
+        values = VdcSequence(BaseChain.geometric(3, 1)).window(max(N, 1)).values
+        for pred, rule in [
+            (squares_predicate(), oracles.is_square),
+            (primes_predicate(), oracles.is_prime),
+            (blocks_predicate(), oracles.in_blocks),
+            (ap_predicate(s), lambda n: oracles.in_apset(s, n)),
+            (window_level_set(SequenceWindow(values), lo, hi),
+             lambda n: oracles.in_level_set(values, lo, hi, n)),
+        ]:
+            want = [bool(rule(n)) for n in range(1, N + 1)]
+            assert pred.mask(N).tolist() == want, pred.name
+            assert Predicate.from_callable(rule).mask(N).tolist() == want, pred.name
+            for n in {1, N // 2 or 1, N} if N else ():
+                assert pred(n) == want[n - 1], (pred.name, n)
+
+    def test_positional_form_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Predicate(lambda n: n % 2 == 0, lambda N: np.arange(1, N + 1) % 2 == 0)
+
+    def test_call_needs_a_positive_integer(self):
+        with pytest.raises(ValueError, match="positive integers, got 0"):
+            squares_predicate()(0)
 
 
 class TestDensityProfile:
@@ -167,7 +203,7 @@ class TestCoverCertificates:
 
     def test_finite_set_mops_up_with_singletons(self):
         t = 7
-        pred = Predicate(lambda n: n <= t, name="initial")
+        pred = Predicate.from_callable(lambda n: n <= t, name="initial")
         cert = buck_upper(pred, ladder=FACTORIAL_LADDER, window_N=200_000)
         assert cert.cost <= Fraction(t, max(FACTORIAL_LADDER))
         # cost keeps shrinking as the ladder (and straggler modulus) grows
@@ -204,9 +240,7 @@ class TestCoverCertificates:
     def test_monotone_for_sparse_superset(self):
         sq = squares_predicate()
         union = Predicate(
-            lambda n: sq(n) or n % 3 == 1,
-            lambda N: sq.mask(N) | (np.arange(1, N + 1) % 3 == 1),
-            name="squares-or-ap",
+            mask=lambda N: sq.mask(N) | (np.arange(1, N + 1) % 3 == 1), name="squares-or-ap"
         )
         ladder = (1, 2, 6, 24, 120)
         for cs, cu in zip(
@@ -240,7 +274,7 @@ class TestCoverCertificates:
 
 
 def mask_predicate(mask: np.ndarray) -> Predicate:
-    return Predicate(lambda n: bool(mask[n - 1]), lambda N: mask[:N], name="hits")
+    return Predicate(mask=lambda N: mask[:N], name="hits")
 
 
 @st.composite
@@ -286,26 +320,19 @@ def hits_at(N, *ns):
 class TestStragglerGrouping:
     # stale hits 1, 8, 15 share singleton 1 mod 7 from classes 1, 2, 0 mod 3:
     # the cover holds 1+(7) once, the cost 3/7 counts it in each class
-    @example(mask=hits_at(60, 1, 8, 15), ladder=(3, 5, 7), threshold=1, recent=True)
+    @example(mask=hits_at(60, 1, 8, 15), ladder=(3, 5, 7), threshold=1)
     # stale hits 1, 3, 5 at level 2 tie 1/2 against 3/6 and take the class
-    @example(mask=hits_at(60, 1, 3, 5), ladder=(1, 2, 6), threshold=3, recent=True)
-    @given(
-        hit_sets(),
-        straggler_ladders,
-        st.integers(1, 4),
-        st.booleans(),
-    )
+    @example(mask=hits_at(60, 1, 3, 5), ladder=(1, 2, 6), threshold=3)
+    @given(hit_sets(), straggler_ladders, st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_class_oracle(self, mask, ladder, threshold, recent):
+    def test_matches_per_class_oracle(self, mask, ladder, threshold):
         N = mask.size
         if N < threshold * min(ladder):
             with pytest.raises(DiagnosticError):
-                buck_upper_per_level(mask_predicate(mask), ladder, N, threshold, recent)
+                buck_upper_per_level(mask_predicate(mask), ladder, N, threshold)
             return
-        got = buck_upper_per_level(mask_predicate(mask), ladder, N, threshold, recent)
-        want = oracles.buck_upper_per_level_oracle(
-            mask_predicate(mask), ladder, N, threshold, recent
-        )
+        got = buck_upper_per_level(mask_predicate(mask), ladder, N, threshold)
+        want = oracles.buck_upper_per_level_oracle(mask_predicate(mask), ladder, N, threshold)
         assert [c.level for c in got] == [c.level for c in want]
         for g, w in zip(got, want):
             assert g.cover.progressions == w.cover.progressions
@@ -487,7 +514,7 @@ class TestSurvey:
         grid = sorted({max(1, grid_end // 4), grid_end})
         pred = mask_predicate(mask)
         got = outcome(survey, pred, grid, ladder, window, threshold)
-        certs = outcome(oracles.buck_upper_per_level_oracle, pred, ladder, window, threshold, True)
+        certs = outcome(oracles.buck_upper_per_level_oracle, pred, ladder, window, threshold)
         meas = outcome(oracles.buck_measurability_oracle, pred, ladder, window, threshold)
         assert (got[0] == "raised") == (meas[0] == "raised")
         if got[0] == "raised":
@@ -502,8 +529,8 @@ class TestSurvey:
         assert got_meas == meas[1]
 
     def test_refuses_in_the_order_of_the_separate_calls(self):
-        level_set = Predicate(lambda n: n % 2 == 0, lambda N: np.arange(1, N + 1) % 2 == 0,
-                              name="even", max_n=1000)
+        level_set = Predicate(mask=lambda N: np.arange(1, N + 1) % 2 == 0, name="even",
+                              max_n=1000)
         for grid, window, ladder, asked in [
             ([2000], 3000, FACTORIAL_LADDER, "asked 2000"),
             ([500], 2000, FACTORIAL_LADDER, "asked 2000"),
@@ -511,6 +538,13 @@ class TestSurvey:
         ]:
             with pytest.raises(DiagnosticError, match=asked):
                 survey(level_set, grid, ladder, window)
+
+    def test_ladder_past_int64_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"at most 2\*\*63 - 1, got 100000000000000000000"):
+            buck_upper(primes_predicate(), (1, 2, 6, 10**20), 1000)
+        # the largest int64 modulus is still one: stragglers become singletons mod it
+        cert = buck_upper(primes_predicate(), (1, 2, 6, 2**63 - 1), 1000)
+        assert (2, 2**63 - 1) in cert.cover.progressions
 
     @pytest.mark.parametrize("threshold", [0, -3])
     def test_threshold_below_one_is_a_value_error(self, threshold):

@@ -1,5 +1,7 @@
 """Distribution and statistics tests, cross-checked against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,15 @@ class TestStieltjes:
         assert stieltjes_mean(F, lambda x: x) == pytest.approx(0.5, abs=1e-3)
         assert stieltjes_mean(F, lambda x: x * x) == pytest.approx(1 / 3, abs=1e-2)
 
+    def test_scalar_only_g_matches_its_vectorized_twin(self):
+        F = edf(vdc_window(2, 1000))
+        assert stieltjes_mean(F, math.sqrt) == stieltjes_mean(F, np.sqrt)
+
+    @pytest.mark.parametrize("g, match", [(math.log, "failed"), (lambda x: 1 / x, "not finite")])
+    def test_failing_or_infinite_g_is_a_domain_error(self, g, match):
+        with pytest.raises(DomainError, match=match):
+            stieltjes_mean(edf(SequenceWindow([0.0, 0.5])), g)
+
     @given(windows)
     def test_identity_matches_mean(self, w):
         # same quantity through two pipelines; summation orders differ
@@ -265,6 +276,18 @@ class TestIndependenceStats:
         rep = statistical_independence_stat(vdc_window(2, 2000), vdc_window(3, 2000))
         assert rep.statistic == max(d for _, _, d in rep.table)
         assert rep.family == "monomials+ramps/v1"
+
+    def test_scalar_only_family_matches_its_vectorized_twin(self):
+        v, w = vdc_window(2, 2000), vdc_window(3, 2000)
+        scalar = statistical_independence_stat(v, w, family=[("sqrt", math.sqrt)])
+        vector = statistical_independence_stat(v, w, family=[("sqrt", np.sqrt)])
+        assert scalar == vector
+
+    @pytest.mark.parametrize("g, match", [(math.log, "failed"), (lambda x: 1 / x, "not finite")])
+    def test_failing_or_infinite_g_is_a_domain_error(self, g, match):
+        v = SequenceWindow([0.0, 0.5])
+        with pytest.raises(DomainError, match=match):
+            statistical_independence_stat(v, v, family=[("x", lambda x: x), ("g", g)])
 
     def test_mirror_symmetry(self):
         v, w = vdc_window(2, 3000), vdc_window(3, 3000)

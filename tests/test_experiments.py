@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from measeq.density import blocks_predicate
-from measeq.errors import DiagnosticError, GateError, ResolutionError
+from measeq.errors import DiagnosticError, DomainError, GateError, ResolutionError
 from measeq.experiments import (
     clt_experiment,
     composed_independence_check,
@@ -235,6 +235,27 @@ class TestComposedIndependence:
         assert rep.statistics["max_deviation"] <= 0.02
         # moment-product oracle: means approach 1/3 and 1/2
         assert rep.passed
+
+    def test_infinite_g_is_a_domain_error(self):
+        # 1 / (x - 0.5) is infinite at v(1) = 0.5 of the base-2 member
+        fam = vdc_family([2, 3])
+        with pytest.raises(DomainError, match="not finite"):
+            composed_independence_check(
+                fam, [(lambda x: 1 / (x - 0.5), lambda x: x)], identity_indices(2_000)
+            )
+
+    def test_failing_g_is_a_domain_error(self):
+        fam = vdc_family([2, 3])
+        with pytest.raises(DomainError, match="failed"):
+            composed_independence_check(
+                fam, [(lambda x: math.log(x - 0.5), lambda x: x)], identity_indices(2_000)
+            )
+
+    def test_scalar_only_g_matches_its_vectorized_twin(self):
+        fam, k = vdc_family([2, 3]), pair_swap_indices(20_000)
+        scalar = composed_independence_check(fam, [(math.sqrt, math.sqrt)], k)
+        vector = composed_independence_check(fam, [(np.sqrt, np.sqrt)], k)
+        assert scalar == vector
 
     def test_index_gate(self):
         fam = vdc_family([2, 3])

@@ -227,13 +227,10 @@ class TestHaarIntegral:
         trace = haar_integral(indicator(s), ladder=(6, 24, 120, 720))
         assert all(m == float(ap_union_density(s)) for m in trace.means)
 
-    def test_continuity_check_attached(self):
-        trace = haar_integral(
-            indicator(APSet.single(1, 3)), (1, 2, 6, 24), check_continuity=[0.5]
-        )
-        assert trace.continuity is not None
+    def test_integrand_continuity_witness(self):
+        prof = p_continuity_profile(indicator(APSet.single(1, 3)), [0.5], (1, 2, 6, 24))
         # 3 is not a ladder level, so the smallest witnessing level is 6
-        assert trace.continuity.witness_for(0.5) == 6
+        assert prof.witness_for(0.5) == 6
 
 
 class TestSampleOmega:
