@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from decimal import Decimal
 from functools import cache
 from fractions import Fraction
 from pathlib import Path
@@ -102,6 +103,17 @@ def _count(x) -> int:
     return int(x)
 
 
+def _exact_int(text: str) -> int:
+    """An integer literal, or float notation such as 1e3 that is an exact integer."""
+    try:
+        return int(text)
+    except ValueError:
+        x = float(text)
+    if not x.is_integer() or Decimal(text) != Decimal(x):
+        raise ValueError(f"need an exact integer, got {text!r}")
+    return int(x)
+
+
 def parse_sequence_spec(spec) -> object:
     """JSON sequence spec -> generator handle."""
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -177,7 +189,7 @@ def parse_ladder(text: str) -> tuple[int, ...]:
             raise ConfigError(f"bad ladder {text!r}: factorial:K needs an integer K in 1..{top}")
         return de.FACTORIAL_LADDER[: int(k)]
     with _reading("ladder", text):
-        return tuple(_count(int(float(x))) for x in text.split(","))
+        return tuple(_count(_exact_int(x)) for x in text.split(","))
 
 
 def parse_density_ladder(text: str) -> tuple[int, ...]:
@@ -201,7 +213,7 @@ def parse_grid(text: str) -> tuple[int, ...]:
     with _reading("grid", text):
         if ".." in text:
             a_str, b_str = text.split("..", 1)
-            a, b = int(float(a_str)), int(float(b_str))
+            a, b = _exact_int(a_str), _exact_int(b_str)
             if a < 1 or b < a:
                 raise ValueError("need 1 <= A <= B")
             grid = []
@@ -211,7 +223,7 @@ def parse_grid(text: str) -> tuple[int, ...]:
                 n *= 2
             grid.append(b)
             return tuple(grid)
-        grid = tuple(int(float(x)) for x in text.split(","))
+        grid = tuple(_exact_int(x) for x in text.split(","))
         if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("need positive, strictly increasing windows")
         return grid
@@ -351,11 +363,10 @@ def _resolve(params: tuple[Param, ...], given: dict, where: str = "--") -> Simpl
     out = SimpleNamespace()
     for p in params:
         label = p.label(where)
-        if p.name in given:
-            value = given[p.name]
-        elif p.required:
-            raise ConfigError(f"missing {label} {p.help}")
-        else:
+        value = given.get(p.name)
+        if value is None:
+            if p.required:
+                raise ConfigError(f"missing {label} {p.help}")
             value = p.default(out) if callable(p.default) else p.default
         if value is not None:
             value = _check(p, value, label, out)
@@ -499,13 +510,15 @@ def _run_conv(v, cfg: RunConfig):
 
 def _run_polyadic_dist(v, cfg: RunConfig):
     d = po.polyadic_distance(v.a, v.b)
-    frac = d.as_fraction()
+    # Decimal writes integers of any length; str() stops at 4300 digits
+    exact = "/".join(format(Decimal(n), "f") for n in (d.numerator, 1 << d.exponent))
+    value = float(d)
     report = {
         "a": v.a,
         "b": v.b,
-        "exact": f"{frac.numerator}/{frac.denominator}",
-        "decimal": float(d),
-        "display": f"{frac.numerator}/{frac.denominator} = {float(d)}",
+        "exact": exact,
+        "decimal": value,
+        "display": f"{exact} = {value}",
     }
     return report, None
 

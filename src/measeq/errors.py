@@ -42,14 +42,8 @@ class GateError(MeaseqError):
 
 
 class ResolutionError(MeaseqError):
-    """No ladder level is fine enough for the requested evaluation.
-
-    `needed` carries the modulus that would have been required, when known.
-    """
-
-    def __init__(self, msg: str, needed: int | None = None):
-        super().__init__(msg)
-        self.needed = needed
+    """No continuity witness, or no ladder level it divides, for the requested
+    evaluation."""
 
 
 class ContinuityBudgetError(MeaseqError):

@@ -16,12 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dist import _default_grid, cell_deviations, cell_index, moments, sup_norm
-from .errors import ContinuityBudgetError, DiagnosticError, GateError
+from .errors import ContinuityBudgetError, DegenerateWindowError, DiagnosticError, GateError
 from .polyadic import (
     FACTORIAL_LADDER,
     OmegaPoint,
     _dividing_level,
-    extend_eval,
+    _witness,
     sample_omega,
     weak_continuity_profile,
 )
@@ -196,6 +196,8 @@ def clt_experiment(
     windows = [h.window(N) for h in family]
     k = len(windows)
     _, d2 = _moment_gate(windows, moment_tol)
+    if d2 == 0:
+        raise DegenerateWindowError("family")
     _pairwise_independence_gate(windows, indep_threshold)
     total = np.sum([w.values for w in windows], axis=0)
     mean_e = float(total.mean()) / k  # pooled mean; centers the sum exactly
@@ -272,13 +274,10 @@ def _family_bases(family) -> list[int]:
 def _extended_terms(
     h, alphas: list[OmegaPoint], levels: tuple[int, ...], eps: float
 ) -> np.ndarray:
-    """`extend_eval(h, alpha, eps)` at every alpha on the ladder `levels`.
-    For a radical-inverse handle the witness and the first level it divides
-    depend on (h, eps) only: they are found once, and h is evaluated at all
-    residues in one digit pass."""
-    m = h.witness(eps) if isinstance(h, VdcSequence) else None
-    if m is None:
-        return np.array([extend_eval(h, alpha, eps) for alpha in alphas], dtype=float)
+    """`extend_eval(h, alpha, eps)` at every alpha on the ladder `levels`: the
+    witness and the first level it divides depend on (h, eps) only, so they are
+    found once, and h is evaluated at all residues in one digit pass."""
+    m = _witness(h, eps)
     k = _dividing_level(levels, m)
     return h.values_at(np.array([alpha.residues[k] % m for alpha in alphas], dtype=np.int64))
 

@@ -117,7 +117,7 @@ def _dividing_level(levels: Sequence[int], m: int) -> int:
     for i, lev in enumerate(levels):
         if lev % m == 0:
             return i
-    raise ResolutionError(f"no ladder level is divisible by {m}", needed=m)
+    raise ResolutionError(f"no ladder level is divisible by {m}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,8 @@ def p_continuity_profile(
     window_N: int | None = None,
 ) -> ContinuityProfile:
     """For each epsilon, the smallest ladder modulus m such that every pair of
-    window indices congruent mod m has values within epsilon (strictly)."""
+    window indices congruent mod m has values within epsilon (strictly): a
+    bound on the window only, not a continuity witness of the sequence."""
     ladder = sorted(int(m) for m in ladder)
     vals = _window_values(v, window_N, ladder)
     ranges = [(m, float(_class_spreads(vals, m).max())) for m in ladder]
@@ -313,34 +314,20 @@ def haar_integral(h, ladder: Sequence[int] = FACTORIAL_LADDER) -> HaarTrace:
     return HaarTrace(means[-1], tuple(ladder), means)
 
 
-# window length scanned for a continuity witness when the handle has no closed form
-PROFILE_WINDOW = 4096
+def _witness(h, eps: float) -> int:
+    """The handle's continuity witness m(eps); ResolutionError when it has none."""
+    m = h.witness(eps)
+    if m is None:
+        raise ResolutionError(f"no continuity witness for eps={eps} within the ladder")
+    return m
 
 
 def extend_eval(v, alpha: OmegaPoint, eps: float) -> float:
     """Value of the extension of v at alpha, within eps of any representative.
 
-    Needs a continuity witness m(eps) dividing one of alpha's ladder levels:
-    from the handle's closed form when available, otherwise from a window
-    scan over the ladder levels small enough to profile.
+    The modulus is the handle's own continuity witness m(eps), which must
+    divide one of alpha's ladder levels; ResolutionError when the handle has
+    no witness for eps (a bare callable has none) or no level is divisible by it.
     """
-    if not isinstance(v, SequenceWindow):
-        v = _handle(v)
-    witness = getattr(v, "witness", None)
-    m = None if witness is None else witness(eps)
-    if m is None:
-        usable = [lev for lev in alpha.levels if 2 * lev <= PROFILE_WINDOW]
-        if usable:
-            prof = p_continuity_profile(v, [eps], usable, window_N=PROFILE_WINDOW)
-            m = prof.witness_for(eps)
-        if m is None:
-            raise ResolutionError(
-                f"no continuity witness for eps={eps} within the ladder"
-            )
-    r = alpha.residue_mod(m)
-    if isinstance(v, SequenceWindow):
-        rep = r if r >= 1 else r + m
-        if rep > len(v):
-            raise ResolutionError(f"window too short to represent class {r} mod {m}")
-        return v.value(rep)
-    return float(v.eval(r))
+    h = _handle(v)
+    return float(h.eval(alpha.residue_mod(_witness(h, eps))))

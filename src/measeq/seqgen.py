@@ -388,6 +388,9 @@ class CallableSequence:
         vals = np.array([self.fn(n) for n in range(1, N + 1)], dtype=float)
         return SequenceWindow(vals, generator=self)
 
+    def witness(self, eps: float) -> int | None:
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class SequenceWindow:

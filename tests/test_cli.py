@@ -1,14 +1,18 @@
 """CLI integration tests: verbs, exit codes, output schema, reproducibility."""
 
 import hashlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +25,8 @@ from measeq import cli
 from measeq.cli import main, parse_ladder
 from measeq.density import FACTORIAL_LADDER, APSet
 from measeq.dist import DEFAULT_TEST_FAMILY, edf
+from measeq.errors import ConfigError, MeaseqError
+from measeq.polyadic import polyadic_distance
 from measeq.seqgen import PeriodicTable
 
 
@@ -153,6 +159,24 @@ class TestPolyadic:
         status, out = run_json(capsys, ["polyadic", "dist", "0", "6"])
         assert out["report"]["display"] == "7/64 = 0.109375"
 
+    @given(st.integers(-10**6, 10**6), st.integers(-14_000, 14_000))
+    @settings(max_examples=40, deadline=None)
+    def test_dist_bytes_equal_str_where_str_works(self, a, d):
+        b = a + d
+        frac = polyadic_distance(a, b).as_fraction()
+        report, _ = cli._run_polyadic_dist(SimpleNamespace(a=a, b=b), None)
+        assert report["exact"] == f"{frac.numerator}/{frac.denominator}"
+        assert report["display"] == f"{frac.numerator}/{frac.denominator} = {float(frac)}"
+
+    def test_dist_past_the_str_digit_limit(self, capsys):
+        status, out = run_json(capsys, ["polyadic", "dist", "0", "30001"])
+        assert status == 0
+        num, den = out["report"]["exact"].split("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == polyadic_distance(
+            0, 30001
+        ).as_fraction()
+        assert out["report"]["display"] == f"{num}/{den} = {out['report']['decimal']}"
+
     def test_profile(self, capsys):
         status, out = run_json(
             capsys,
@@ -280,6 +304,39 @@ class TestExitCodes:
         assert main(["polyadic", "sample", "--levels", "1,2,100000000000000000000"]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["levels"][-1] == 10**20
 
+    def test_levels_are_exact_integers(self, capsys):
+        argv = ["--seed", "1", "polyadic", "sample", "--levels", "1,9007199254740993"]
+        status, out = run_json(capsys, argv)
+        assert status == 0
+        assert out["report"]["levels"] == [1, 9007199254740993]
+
+    def test_density_ladder_takes_the_largest_modulus(self, capsys):
+        argv = ["density", "--pred", "primes", "--ladder", "1,2,9223372036854775807",
+                "--grid", "1000"]
+        status, out = run_json(capsys, argv)
+        assert status == 0
+        assert out["report"]["measurability"]["levels"] == [1, 2]
+
+    @pytest.mark.parametrize("grid", ["1000.7,2000", "1e3..2000.5", "1e400,2000"])
+    def test_inexact_grid_is_config_error(self, capsys, grid):
+        assert main(["density", "--pred", "primes", "--grid", grid]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: bad grid '{grid}'")
+
+    @pytest.mark.parametrize("text, want", [
+        ("1,1e3,9007199254740993", (1, 1000, 9007199254740993)),
+        ("2.0,6E1,1_000", (2, 60, 1000)),
+    ])
+    def test_ladder_integers_are_exact(self, text, want):
+        assert parse_ladder(text) == want
+        assert cli.parse_grid(text) == want
+
+    @pytest.mark.parametrize("text", ["2.5", "1e-1", "9007199254740993.0", "1e-999999999",
+                                      "nan", "inf", "1e400", "0x10", ""])
+    def test_inexact_ladder_is_config_error(self, text):
+        with pytest.raises(ConfigError, match="^bad ladder "):
+            parse_ladder(f"1,{text}")
+
     def test_factorial_ladder_prefix(self):
         assert parse_ladder("factorial:3") == (1, 2, 6)
         assert parse_ladder("factorial:8") == FACTORIAL_LADDER
@@ -349,6 +406,8 @@ class TestExitCodes:
             ["exp", "sss", "--config", '{"bases":[3,5,7],"g":["x","x","x","x"]}'],
             ["polyadic", "sample", "--levels", "3,5"],
             ["polyadic", "sample", "--levels", "2,6,6"],
+            ["polyadic", "profile", "--seq", "null"],
+            ["dist", "indep", "--seq", '{"kind":"vdc"}', "--seq2", "null"],
             ["gen", "--spec", '{"kind":"periodic","values":[NaN]}', "--n", "3"],
             ["dist", "moments", "--seq", '{"kind":"simple","parts":[{"r":0,"m":2,"c":NaN}]}'],
             ["dist", "moments", "--seq", '{"kind":"additive","primes":{"2":NaN}}', "--n", "2"],
@@ -534,6 +593,154 @@ class TestRerunValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert name in err[0] or name.upper() in err[0]
+
+
+# Bounded fuzz: argv built from the verb table, and echoed configs for rerun.
+# Sizes (windows, n, cells, family members, points) stay small, so that no
+# example allocates more than a few MB.
+INTS = st.integers(-7, 1_000)
+SMALL = st.one_of(st.integers(1, 12), st.integers(-7, 12))
+SIZES = st.one_of(st.integers(1, 300), st.integers(-7, 300))
+NUMBERS = st.one_of(st.sampled_from([0.0, 1e-9, 0.5, -1.0, float("nan"), float("inf")]),
+                    st.floats(-2, 2), SMALL)
+JUNK = st.sampled_from([None, "", "{", "[1,", "{not json", "x", "2.5", "1e999", "@nofile"])
+SEQS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("vdc")}, optional={"chain": st.one_of(
+        st.fixed_dictionaries({}, optional={"ratio": SMALL, "levels": SMALL}),
+        st.fixed_dictionaries({"factorial": SMALL}),
+        st.fixed_dictionaries({"moduli": st.lists(SMALL, max_size=4)}),
+    )}),
+    st.fixed_dictionaries({"kind": st.just("additive")}, optional={
+        "primes": st.dictionaries(st.sampled_from(["2", "3", "4", "5", "7", "x"]), NUMBERS),
+        "tail": NUMBERS,
+    }),
+    st.fixed_dictionaries({"kind": st.just("simple")}, optional={"parts": st.lists(
+        st.fixed_dictionaries({"r": SMALL, "m": SMALL, "c": NUMBERS}), max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("periodic")},
+                          optional={"values": st.lists(NUMBERS, max_size=4)}),
+    st.fixed_dictionaries({"kind": st.just("uniform")}, optional={"n": INTS}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["fn", 3])}),
+)
+INT_LISTS = st.lists(INTS, max_size=4).map(lambda xs: ",".join(map(str, xs)))
+LADDERS = st.one_of(
+    st.sampled_from(["factorial", "primorial", "factorial:3", "factorial:9", "1e3", "2,6,24"]),
+    INT_LISTS,
+)
+VALUES = {
+    "spec": SEQS, "seq": SEQS, "seq2": SEQS,
+    "n": SIZES, "window": SIZES, "cells": SMALL, "n_alphas": SMALL, "h_max": SMALL,
+    "primes": SMALL, "M": SMALL, "a": INTS, "b": INTS,
+    "pred": st.one_of(
+        st.sampled_from(["primes", "squares", "blocks", "cubes"]),
+        st.fixed_dictionaries({"ap": st.fixed_dictionaries({"r": SMALL, "m": SMALL})}),
+        st.fixed_dictionaries({"ap": st.lists(
+            st.fixed_dictionaries({"r": SMALL, "m": SMALL}), max_size=3)}),
+        st.fixed_dictionaries({"threshold": st.fixed_dictionaries(
+            {"seq": SEQS}, optional={"n": SIZES, "lo": NUMBERS, "hi": NUMBERS})}),
+    ),
+    "grid": st.one_of(INT_LISTS, st.tuples(INTS, INTS).map(lambda ab: "%d..%d" % ab),
+                      st.sampled_from(["1e3..4e3", "1e2,2e2", "1000.7,2000"])),
+    "ladder": LADDERS, "levels": LADDERS,
+    "threshold": st.one_of(SMALL, NUMBERS),
+    "kind": st.sampled_from(["interval", "functional", "other"]),
+    "eps": st.one_of(NUMBERS, st.lists(NUMBERS, max_size=3)),
+    "eval": st.lists(NUMBERS, max_size=3),
+    "delta": NUMBERS, "tolerance": NUMBERS,
+    "bases": st.lists(INTS, max_size=4),
+    "k_grid": st.lists(INTS, max_size=3),
+    "g": st.lists(st.sampled_from([*cli._G_REGISTRY, "cubes"]), max_size=4),
+    "indices": st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["identity", "pair_swap", "even", "x"]),
+                               "n": SIZES}),
+        st.lists(INTS, max_size=5),
+    ),
+}
+
+
+def _text(value) -> str:
+    """A JSON value as the command line writes it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list) and all(isinstance(x, (int, float)) for x in value):
+        return ",".join(map(str, value))
+    return json.dumps(value)
+
+
+@st.composite
+def fuzz_params(draw, params):
+    """Values for a verb's parameters, one in eight left out and one in eight
+    malformed; the sizes are always given, so that no default window is taken."""
+    out = {}
+    for p in params:
+        if p.keys:
+            value = draw(fuzz_params(p.keys))
+        elif p.read is not None:
+            value = draw(st.lists(SEQS, max_size=3))
+        else:
+            value = draw(VALUES[p.name])
+        if draw(st.integers(0, 7)) == 3:
+            value = draw(JUNK)
+        if p.name in ("n", "indices", "grid") or draw(st.integers(0, 7)) != 3:
+            out[p.name] = value
+    if draw(st.integers(0, 15)) == 7:
+        out["undeclared"] = 1
+    return out
+
+
+VERBS = st.sampled_from([(c, v) for c, (_, verbs) in cli._COMMANDS.items() for v in verbs])
+
+
+@st.composite
+def fuzz_argv(draw):
+    command, verb = draw(VERBS)
+    params = cli._COMMANDS[command][1][verb].params
+    given = draw(fuzz_params(params))
+    argv = ["--seed", str(draw(INTS)), "--format", draw(st.sampled_from(["json", "csv"]))]
+    argv += [command] if verb is None else [command, verb]
+    for p in params:
+        if p.read is not None:  # dist conv: --uniform, repeated, then --seq and --seq2
+            argv += ["--uniform"] * draw(st.integers(0, 2))
+            for flag in ("--seq", "--seq2"):
+                argv += [flag, _text(draw(st.one_of(SEQS, JUNK)))] if draw(st.booleans()) else []
+        elif p.name in given:
+            flag = next(iter(p.cli_flags()))
+            text = _text(given[p.name])
+            argv += [flag, text] if flag.startswith("--") else [text]
+    return argv
+
+
+@st.composite
+def fuzz_config(draw):
+    command, verb = draw(VERBS)
+    config = {"command": draw(st.sampled_from([command] * 7 + ["nope"])),
+              "verb": draw(st.sampled_from([verb] * 6 + [None, "nope"])),
+              "params": draw(fuzz_params(cli._COMMANDS[command][1][verb].params)),
+              "seed": draw(INTS), "fmt": draw(st.sampled_from(["json"] * 3 + ["csv", "xml"]))}
+    if draw(st.booleans()):
+        config["tolerance"] = draw(st.one_of(st.none(), st.floats(0, 1), NUMBERS))
+    return config
+
+
+class TestFuzz:
+    @given(fuzz_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_main_exits_zero_one_or_two(self, argv):
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                status = main(argv)
+        except SystemExit as e:  # argparse's own usage errors
+            status = e.code
+        assert status in (0, 1, 2), argv
+
+    @given(fuzz_config())
+    @settings(max_examples=300, deadline=None)
+    def test_run_returns_or_refuses(self, config):
+        try:
+            with redirect_stdout(io.StringIO()):
+                status, _ = cli.run(cli.RunConfig.from_dict(config))
+        except MeaseqError:
+            return
+        assert status == 0
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import oracles
 from measeq.density import blocks_predicate
-from measeq.errors import DiagnosticError, DomainError, GateError, ResolutionError
+from measeq.errors import (
+    DegenerateWindowError,
+    DiagnosticError,
+    DomainError,
+    GateError,
+    ResolutionError,
+)
 from measeq.experiments import (
     clt_experiment,
     composed_independence_check,
@@ -91,6 +97,11 @@ class TestCltExperiment:
             float(oracle), abs=0.01
         )
         assert not rep.passed
+
+    def test_zero_dispersion_is_refused(self):
+        # one value per member: standardizing by a zero dispersion would give NaN
+        with pytest.raises(DegenerateWindowError, match="'family' has zero dispersion"):
+            clt_experiment(vdc_family([2]), N=1)
 
     def test_twelve_coprime_bases_pass(self):
         rep = clt_experiment(vdc_family_primes(12), N=10_000)
@@ -206,6 +217,13 @@ class TestMetricUd:
         # witness 5040 = 7! needs the factor 7, which the ladder of 2 * 3 * 5 lacks
         family = [VdcSequence(BaseChain.factorial(3)), *vdc_family([3, 5])]
         with pytest.raises(ResolutionError, match="^no ladder level is divisible by 5040$"):
+            metric_ud_experiment(family, n_alphas=2, seed=1)
+
+    def test_member_without_a_witness_is_unresolvable(self):
+        # a chain that cannot grow has no modulus 1/m <= 1e-3
+        family = [VdcSequence(BaseChain((1, 2, 4))), *vdc_family([3])]
+        message = "^no continuity witness for eps=0.001 within the ladder$"
+        with pytest.raises(ResolutionError, match=message):
             metric_ud_experiment(family, n_alphas=2, seed=1)
 
 

@@ -312,6 +312,20 @@ class TestExtendEval:
         with pytest.raises(ResolutionError):
             extend_eval(seq, alpha, eps=0.1)
 
+    @pytest.mark.parametrize("form", ["callable", "window"])
+    def test_handle_without_a_witness_is_unresolvable(self, form):
+        # n mod 3 is 3-periodic, but neither a bare rule nor a window of it
+        # carries a witness; a window scan is no substitute for one
+        def fn(n):
+            return float(n % 3)
+
+        v = fn if form == "callable" else CallableSequence(fn).window(12)
+        with pytest.raises(ResolutionError, match=r"^no continuity witness for eps=0.5 "):
+            extend_eval(v, OmegaPoint((3, 6), (2, 5)), 0.5)
+
+    def test_callable_handle_has_no_witness(self):
+        assert CallableSequence(lambda n: float(n % 3)).witness(0.1) is None
+
     def test_ladder_without_witness_level(self):
         v = PeriodicTable([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # period 7
         alpha = OmegaPoint((2, 4), (1, 3))
