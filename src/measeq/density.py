@@ -310,11 +310,24 @@ def asymptotic_density_profile(
     return _profile(_as_predicate(pred).mask(grid[-1]), grid, tolerance)
 
 
+def _fold(counts: np.ndarray, m: int) -> np.ndarray:
+    """Counts per class mod m from counts per class mod a multiple of m."""
+    return counts if counts.size == m else counts.reshape(-1, m).sum(axis=0)
+
+
+def _classes(res: np.ndarray, M: int, m: int) -> np.ndarray:
+    """x mod m for each x mod M in `res`, m | M, through a table instead of `%`."""
+    return res if m == M else (np.arange(M) % m)[res]
+
+
 def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
           tolerance: float = DEFAULT_GAP_TOLERANCE, big_m: int | None = None, upto: int = 0):
     """(mask of [1, max(N, upto)], certificates if `big_m` is given, MeasurabilityReport)
-    from the hits per class at each usable level m.  The complement's count in class r is
-    its size, N // m if r = 0 else (N - r) // m + 1 (0 if r > N), minus the set's count."""
+    from the hits per class at each usable level m.  The hits are reduced once per maximal
+    usable level M, one that divides no other usable level; a level m | M sums the class
+    counts of M, and reads the hits again, through the table x mod M -> x mod m, only when
+    it has stragglers or its cover leaves a hit class out.  The complement's count in class
+    r is its size, N // m if r = 0 else (N - r) // m + 1 (0 if r > N), minus the set's count."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if max(ladder, default=1) > MAX_MODULUS:
@@ -326,27 +339,40 @@ def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
     hits = np.flatnonzero(mask[:N]).astype(np.int64, copy=False) + 1
     # hits[recent_from:] lie past the recency cut 2N/3
     recent_from = np.searchsorted(hits, (2 * N) // 3, side="right")
-    certs, up_s, up_c = [], [], []
+    distinct = tuple(dict.fromkeys(levels))
+    maximal = sorted(M for M in distinct if not any(q % M == 0 for q in distinct if q > M))
+    source = {m: next(M for M in maximal if M % m == 0) for m in distinct}
+    last_use = {source[m]: m for m in distinct}
+    passes = {}  # M -> (hits % M, counts mod M, recent counts mod M), dropped after last use
     hb = None  # hits % big_m, taken at the first level that has stragglers
-    for m in levels:
-        res = hits % m
-        counts = np.bincount(res, minlength=m)
+    sat_s, sat_c, cert = {}, {}, {}  # per distinct level
+    for m in distinct:
+        M = source[m]
+        if M not in passes:
+            res_M = hits % M
+            passes[M] = (res_M, np.bincount(res_M, minlength=M),
+                         None if big_m is None else np.bincount(res_M[recent_from:], minlength=M))
+        res_M, counts_M, recent_M = passes.pop(M) if last_use[M] == m else passes[M]
+        counts = _fold(counts_M, m)
         sizes = (N - np.arange(m)) // m + (np.arange(m) > 0)
-        up_s.append(Fraction(int((counts >= threshold).sum()), m))
-        up_c.append(Fraction(int((sizes - counts >= threshold).sum()), m))
+        sat_s[m] = Fraction(int((counts >= threshold).sum()), m)
+        sat_c[m] = Fraction(int((sizes - counts >= threshold).sum()), m)
         if big_m is None:
             continue
-        persistent = (counts >= threshold) & (np.bincount(res[recent_from:], minlength=m) > 0)
+        persistent = (counts >= threshold) & (_fold(recent_M, m) > 0)
+        hit = counts > 0
         residues = [np.flatnonzero(persistent)]
         moduli = [np.full(residues[0].size, m, dtype=np.int64)]
         cost = Fraction(residues[0].size, m)
+        res = None  # hits % m, taken only when needed
         # stragglers grouped by class: class progression vs singletons, cheaper wins
-        strag = ~persistent[res]
-        if strag.any():
+        if (hit & ~persistent).any():
+            res = _classes(res_M, M, m)
+            strag = ~persistent[res]
             # distinct (class, singleton) pairs in class order; a singleton that
             # two classes share (m need not divide big_m) counts in both
             if hb is None:
-                hb = hits % big_m
+                hb = res_M if M == big_m else hits % big_m
             cls, single = res[strag], hb[strag]
             order = np.lexsort((single, cls))
             cls, single = cls[order], single[order]
@@ -360,10 +386,22 @@ def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
                        np.full(residues[-1].size, big_m, dtype=np.int64)]
             cost += Fraction(int(whole.sum()), m) + Fraction(int(k[~whole].sum()), big_m)
         cover = APSet(np.column_stack((np.concatenate(residues), np.concatenate(moduli))))
-        _verify_cover(cover, hits, {big_m: hb, m: res} if hb is not None else {m: res})
-        certs.append(CoverCertificate(cover, cost, N, m))
+        # a hit in a class the cover holds mod m is covered; the rest go to _verify_cover
+        cover_r, cover_m = cover.arrays
+        held = np.zeros(m, dtype=bool)
+        held[cover_r[cover_m == m]] = True
+        unheld = hit & ~held
+        if unheld.any():
+            if res is None:
+                res = _classes(res_M, M, m)
+            sel = unheld[res]
+            tables = {m: res[sel]} if hb is None else {big_m: hb[sel], m: res[sel]}
+            _verify_cover(cover, hits[sel], tables)
+        cert[m] = CoverCertificate(cover, cost, N, m)
+    up_s, up_c = (tuple(sat[m] for m in levels) for sat in (sat_s, sat_c))
+    certs = [cert[m] for m in levels] if big_m is not None else []
     gaps = tuple(a + b - 1 for a, b in zip(up_s, up_c))
-    return mask, certs, MeasurabilityReport(levels, tuple(up_s), tuple(up_c), gaps, tolerance)
+    return mask, certs, MeasurabilityReport(levels, up_s, up_c, gaps, tolerance)
 
 
 def residue_saturation(
@@ -485,8 +523,9 @@ def survey(pred, grid: Sequence[int], ladder: Sequence[int] = FACTORIAL_LADDER,
            window: int = 100_000, threshold: int = DEFAULT_THRESHOLD, tolerance: float = 1e-3
            ) -> tuple[DensityEstimate, list[CoverCertificate], MeasurabilityReport]:
     """The results of `asymptotic_density_profile` (with `tolerance`), `buck_upper_per_level`
-    and `buck_measurability_check` (default tolerance), from one mask and one residue table
-    per level; it refuses as the first of those calls to refuse would."""
+    and `buck_measurability_check` (default tolerance), from one mask and one residue pass
+    per maximal level, whose class counts every level dividing it sums; it refuses as the
+    first of those calls to refuse would."""
     grid = _grid(grid)
     _as_predicate(pred)._require(grid[-1])  # the profile refuses first
     mask, certs, meas = _scan(pred, ladder, window, threshold, big_m=max(ladder), upto=grid[-1])

@@ -102,7 +102,18 @@ class MomentSummary:
     stability_gap: float
 
 
+def _finite_bounds(w: SequenceWindow, which: str = "") -> None:
+    """Refuse a window whose bounds, and so perhaps its values, are not finite."""
+    lo, hi = w.bounds
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        name = f"window {which!r}" if which else "window"
+        raise DomainError(f"{name} bounds [{lo:g}, {hi:g}] are not finite: no moments")
+
+
 def moments(w: SequenceWindow) -> MomentSummary:
+    """Mean, dispersion and half-window stability; a window with infinite
+    bounds has none of them (DomainError)."""
+    _finite_bounds(w)
     vals = w.values
     m = float(vals.mean())
     d2 = float(np.mean((vals - m) ** 2))
@@ -133,10 +144,13 @@ def correlation(v: SequenceWindow, w: SequenceWindow) -> Correlation:
     """Window correlation coefficient plus the regression line w ~ alpha v + beta.
 
     rho carries the absolute-value numerator; the signed slope alpha keeps the
-    direction, so anticorrelated pairs show rho = 1 with alpha < 0.
+    direction, so anticorrelated pairs show rho = 1 with alpha < 0.  A window
+    with infinite bounds has no moments (DomainError).
     """
     if len(v) != len(w):
         raise WindowRangeError(f"length mismatch: {len(v)} vs {len(w)}")
+    _finite_bounds(v, "v")
+    _finite_bounds(w, "w")
     ev, ew = float(v.values.mean()), float(w.values.mean())
     dv = v.values - ev
     dw = w.values - ew

@@ -373,6 +373,27 @@ class TestExitCodes:
             "run refused: an atom at +inf and one at -inf have no sum"
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("verb, flags, want", [
+        ("moments", ["--seq", '{"kind":"periodic","values":[1,Infinity,0]}'],
+         "window bounds [0, inf]"),
+        ("corr", ["--seq", '{"kind":"periodic","values":[1,Infinity,0]}',
+                  "--seq2", '{"kind":"periodic","values":[0,1,2]}'], "window 'v' bounds [0, inf]"),
+        ("corr", ["--seq", '{"kind":"periodic","values":[0,1,2]}',
+                  "--seq2", '{"kind":"periodic","values":[-Infinity,1]}'],
+         "window 'w' bounds [-inf, 1]"),
+    ])
+    def test_moments_of_infinite_values_are_refused(self, capsys, verb, flags, want):
+        assert main(["dist", verb, *flags, "--n", "30"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"run refused: {want} are not finite: no moments"
+        ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_edf_of_infinite_values_runs(self, capsys):
+        argv = ["dist", "edf", "--seq", '{"kind":"periodic","values":[1,Infinity,0]}', "--n", "30"]
+        assert main(argv) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [

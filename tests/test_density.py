@@ -298,9 +298,10 @@ def hit_sets(draw):
     return mask
 
 
-# one third each: ladder prefixes, ladders where m need not divide big_m (a
-# singleton can sit in two classes), and big_m of 2**32 and more, where a
-# (r % m) * big_m + x key would overflow int64
+# one quarter each: ladder prefixes, ladders where m need not divide big_m (a
+# singleton can sit in two classes), big_m of 2**32 and more, where a
+# (r % m) * big_m + x key would overflow int64, and ladders out of order or
+# with repeats whose levels divide one or more of the maximal levels
 straggler_ladders = st.one_of(
     st.sampled_from(
         [FACTORIAL_LADDER[:k] for k in range(1, 9)]
@@ -308,6 +309,7 @@ straggler_ladders = st.one_of(
     ),
     st.sampled_from([(1, 4, 6, 10, 35), (3, 5, 7)]),
     st.sampled_from([(1, 2, 6, 24, 2**32 + 15), (1, 6, 30, 2**61 - 1)]),
+    st.sampled_from([(1, 2, 3, 6, 12), (4, 6, 8), (12, 6, 3, 2, 1), (6, 6, 2)]),
 )
 
 
@@ -458,6 +460,41 @@ class TestVerifyCover:
             dropped = APSet(np.delete(pairs, data.draw(st.sampled_from(sole.tolist())), axis=0))
             with pytest.raises(DiagnosticError, match="cover misses window elements"):
                 _verify_cover(dropped, hits, residues)
+
+
+class TestScanRefusesBrokenCovers:
+    # n = 1, 2 mod 4 on [1, 1000]; an extra hit is a straggler at level 4, held by
+    # the class 3+(4) in (2, 4) and by a singleton mod 8 or 400 in the longer ladders;
+    # the last case drops the singleton of the second of two unheld classes, and
+    # level 400 is past the window, so no deeper level finds the gap instead
+    @pytest.mark.parametrize("ladder, extra, dropped, stragglers", [
+        ((2, 4, 8), (), (2, 4), False),
+        ((2, 4), (), (2, 4), False),
+        ((2, 4, 8), (3,), (2, 4), True),
+        ((2, 4), (3,), (2, 4), True),
+        ((2, 4, 8), (3,), (3, 8), True),
+        ((2, 4, 400), (3, 4), (4, 400), True),
+    ])
+    def test_dropped_progression_is_refused(self, monkeypatch, ladder, extra, dropped,
+                                            stragglers):
+        N = 1000
+        mask = np.isin(np.arange(1, N + 1) % 4, (1, 2)) | hits_at(N, *extra)
+        hits = np.flatnonzero(mask).astype(np.int64) + 1
+        at4 = next(c for c in buck_upper_per_level(mask_predicate(mask), ladder, N)
+                   if c.level == 4)
+        assert (at4.cost != Fraction(2, 4)) == stragglers
+        assert dropped in at4.cover.progressions
+        broken = APSet(p for p in at4.cover.progressions if p != dropped)
+
+        class Dropping(APSet):
+            """The scan's covers without the dropped progression."""
+            def __init__(self, pairs):
+                super().__init__(pairs[(pairs != dropped).any(axis=1)])
+
+        monkeypatch.setattr("measeq.density.APSet", Dropping)
+        want = outcome(oracles.verify_cover_oracle, broken, hits, N)
+        assert want[0] == "raised"
+        assert outcome(buck_upper_per_level, mask_predicate(mask), ladder, N) == want
 
 
 class TestMeasurability:
