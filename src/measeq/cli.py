@@ -66,8 +66,6 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, po.DyadicRational):
-        return f"{obj.numerator}/2^{obj.exponent}"
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, np.bool_):
@@ -115,7 +113,7 @@ def _exact_int(text: str) -> int:
 
 
 def parse_sequence_spec(spec) -> object:
-    """JSON sequence spec -> generator handle."""
+    """JSON sequence spec -> the sequence (`eval`, `window`, `witness`)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("sequence spec must be an object with a 'kind'")
     kind = spec["kind"]
@@ -131,15 +129,13 @@ def parse_sequence_spec(spec) -> object:
             return sg.VdcSequence(sg.BaseChain.geometric(ratio, levels))
         if kind == "additive":
             primes = {int(p): float(v) for p, v in spec.get("primes", {}).items()}
-            return sg.AdditiveSequence(
-                sg.AdditiveFunctionSpec(primes, float(spec.get("tail", 0.0)))
-            )
+            return sg.AdditiveFunctionSpec(primes, float(spec.get("tail", 0.0)))
         if kind == "simple":
             parts = [
                 (de.APSet.single(int(p["r"]), int(p["m"])), float(p["c"]))
                 for p in spec.get("parts", [])
             ]
-            return sg.SimpleSequence(sg.SimpleSpec(parts))
+            return sg.SimpleSpec(parts)
         if kind == "periodic":
             return sg.PeriodicTable([float(v) for v in spec["values"]])
         if kind == "uniform":

@@ -175,9 +175,11 @@ def chebyshev_check(w: SequenceWindow, eps: float) -> tuple[float, float]:
     return lhs, s.dispersion / eps**2
 
 
-def _ramp(c: float, width: float = 0.1) -> Callable:
+def _ramp(c: float) -> Callable:
+    """0 below c, rising linearly to 1 at c + 0.1."""
+
     def g(x):
-        return np.clip((np.asarray(x, dtype=float) - c) / width, 0.0, 1.0)
+        return np.clip((np.asarray(x, dtype=float) - c) / 0.1, 0.0, 1.0)
 
     return g
 
@@ -240,15 +242,16 @@ def unit_interval_grid(k: int = 10) -> tuple[tuple[float, float], ...]:
     return tuple((i / k, (i + 1) / k) for i in range(k))
 
 
-def _default_grid(w: SequenceWindow, k: int = 10) -> tuple[tuple[float, float], ...]:
+def _default_grid(w: SequenceWindow) -> tuple[tuple[float, float], ...]:
+    """The 10 cells `interval_independence_stat` uses when given no grid."""
     lo, hi = w.bounds
     if 0.0 <= lo and hi <= 1.0 and float(w.values.max()) < 1.0:
-        return unit_interval_grid(k)
+        return unit_interval_grid(10)
     span = hi - lo or 1.0
     top = hi + 1e-9 * span
     if not np.isfinite(top - lo):
         raise DomainError(f"window bounds [{lo:g}, {hi:g}] give no finite default cells")
-    return tuple((lo + i * (top - lo) / k, lo + (i + 1) * (top - lo) / k) for i in range(k))
+    return tuple((lo + i * (top - lo) / 10, lo + (i + 1) * (top - lo) / 10) for i in range(10))
 
 
 def cell_index(values: np.ndarray, cells: Sequence[tuple[float, float]]) -> np.ndarray:

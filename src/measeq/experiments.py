@@ -30,6 +30,14 @@ from .seqgen import BaseChain, SequenceWindow, VdcSequence, apply_values, subseq
 
 _SQRT2 = math.sqrt(2.0)
 
+# fixed gates: family members' means and dispersions agree within MOMENT_TOL;
+# every pair of members passes interval independence on default grids at
+# INDEP_THRESHOLD; index sequences pass `niven_ud_test` at NIVEN_M, NIVEN_THRESHOLD
+MOMENT_TOL = 0.02
+INDEP_THRESHOLD = 0.02
+NIVEN_M = 8
+NIVEN_THRESHOLD = 0.05
+
 
 def normal_cdf(x) -> np.ndarray | float:
     """Standard normal CDF via the error function (double-precision accurate)."""
@@ -109,32 +117,35 @@ def niven_ud_test(k, M: int, threshold: float = 0.05) -> ExperimentReport:
     )
 
 
+def _index_gate(k) -> np.ndarray:
+    """k as int64 indices, after `niven_ud_test(k, NIVEN_M, NIVEN_THRESHOLD)` passes."""
+    k = np.asarray(k, dtype=np.int64)
+    gate = niven_ud_test(k, NIVEN_M, threshold=NIVEN_THRESHOLD)
+    if not gate.passed:
+        raise GateError(
+            f"index sequence fails the uniform-distribution gate "
+            f"(deviation {gate.statistics['max_deviation']:.4g} > {NIVEN_THRESHOLD})"
+        )
+    return k
+
+
 def resample_invariance(
     v: SequenceWindow,
     k,
     eps: float = 0.01,
     delta: float = 0.05,
-    ladder: Sequence[int] = FACTORIAL_LADDER,
-    niven_M: int = 8,
-    niven_threshold: float = 0.05,
 ) -> ExperimentReport:
-    """|E_N(v(k)) - E_N(v)| after gating on weak congruence-continuity of v and
-    uniform distribution of k in the integers.
+    """|E_N(v(k)) - E_N(v)| after gating on weak congruence-continuity of v
+    along the factorial ladder and uniform distribution of k in the integers.
 
     The pass tolerance 2 H delta + eps scales with the continuity budgets,
     H being the sup norm of the window.
     """
-    k = np.asarray(k, dtype=np.int64)
     try:
-        exceptional = weak_continuity_profile(v, eps, delta, ladder)
+        exceptional = weak_continuity_profile(v, eps, delta, FACTORIAL_LADDER)
     except ContinuityBudgetError as e:
         raise GateError(f"window is not weakly continuous at the budget: {e}") from e
-    gate = niven_ud_test(k, niven_M, threshold=niven_threshold)
-    if not gate.passed:
-        raise GateError(
-            f"index sequence fails the uniform-distribution gate "
-            f"(deviation {gate.statistics['max_deviation']:.4g} > {niven_threshold})"
-        )
+    k = _index_gate(k)
     vk = subsequence(v, k)
     stat = abs(float(vk.values.mean()) - float(v.values.mean()))
     H = sup_norm(v)
@@ -143,7 +154,7 @@ def resample_invariance(
         name="resample-invariance",
         parameters={
             "N": len(v),
-            "M": niven_M,
+            "M": NIVEN_M,
             "eps": eps,
             "delta": delta,
             "exceptional_level": exceptional.modulus,
@@ -155,50 +166,45 @@ def resample_invariance(
     )
 
 
-def _pairwise_independence_gate(windows: list[SequenceWindow], threshold: float) -> None:
-    """`interval_independence_stat` on default grids for every pair, each
-    member's cells found once."""
+def _pairwise_independence_gate(windows: list[SequenceWindow]) -> None:
+    """`interval_independence_stat` on default grids at INDEP_THRESHOLD for
+    every pair, each member's cells found once."""
     grids = [_default_grid(w) for w in windows]
     cells = [cell_index(w.values, g) for w, g in zip(windows, grids)]
     for i in range(len(windows)):
         for j in range(i + 1, len(windows)):
             stat = float(cell_deviations(cells[i], cells[j], len(grids[i]), len(grids[j])).max())
-            if not stat <= threshold:
+            if not stat <= INDEP_THRESHOLD:
                 raise GateError(
                     f"members {i} and {j} fail the independence gate "
-                    f"({stat:.4g} > {threshold})"
+                    f"({stat:.4g} > {INDEP_THRESHOLD})"
                 )
 
 
-def _moment_gate(windows: list[SequenceWindow], tol: float) -> tuple[float, float]:
+def _moment_gate(windows: list[SequenceWindow]) -> tuple[list[float], list[float]]:
+    """Each member's mean and dispersion, after they agree within MOMENT_TOL."""
     moms = [moments(w) for w in windows]
     means = [m.mean for m in moms]
     disps = [m.dispersion for m in moms]
-    if max(means) - min(means) > tol:
+    if max(means) - min(means) > MOMENT_TOL:
         raise GateError(f"member means disagree by {max(means) - min(means):.4g}")
-    if max(disps) - min(disps) > tol:
+    if max(disps) - min(disps) > MOMENT_TOL:
         raise GateError(f"member dispersions disagree by {max(disps) - min(disps):.4g}")
-    return float(np.mean(means)), float(np.mean(disps))
+    return means, disps
 
 
-def clt_experiment(
-    family,
-    N: int,
-    tolerance: float = 0.05,
-    moment_tol: float = 0.02,
-    indep_threshold: float = 0.02,
-) -> ExperimentReport:
+def clt_experiment(family, N: int, tolerance: float = 0.05) -> ExperimentReport:
     """Kolmogorov distance between the standardized member sum and the normal law.
 
-    The family must share mean and dispersion within `moment_tol` and pass the
+    The family must share mean and dispersion within MOMENT_TOL and pass the
     pairwise interval independence gate.
     """
     windows = [h.window(N) for h in family]
     k = len(windows)
-    _, d2 = _moment_gate(windows, moment_tol)
+    d2 = float(np.mean(_moment_gate(windows)[1]))
     if d2 == 0:
         raise DegenerateWindowError("family")
-    _pairwise_independence_gate(windows, indep_threshold)
+    _pairwise_independence_gate(windows)
     total = np.sum([w.values for w in windows], axis=0)
     mean_e = float(total.mean()) / k  # pooled mean; centers the sum exactly
     std = math.sqrt(k * d2)
@@ -225,27 +231,23 @@ def weak_law_experiment(
     eps: float,
     k_grid: Sequence[int],
     N: int = 10_000,
-    slack: float | None = None,
-    moment_tol: float = 0.02,
-    indep_threshold: float = 0.02,
 ) -> ExperimentReport:
     """Observed large-deviation frequency of k-member averages against the
-    dispersion bound D^2 / (k eps^2), for each k in the grid."""
+    dispersion bound D^2 / (k eps^2), for each k in the grid; each passes
+    within a slack of 2/N."""
     if max(k_grid) > len(family):
         raise GateError(f"grid asks for {max(k_grid)} members, family has {len(family)}")
     windows = [h.window(N) for h in family]
-    _moment_gate(windows, moment_tol)
-    _pairwise_independence_gate(windows, indep_threshold)
-    if slack is None:
-        slack = 2.0 / N
+    means, disps = _moment_gate(windows)
+    _pairwise_independence_gate(windows)
+    slack = 2.0 / N
     trace = []
     stats = {}
     ok = True
     for k in k_grid:
-        members = windows[:k]
-        e = float(np.mean([w.values.mean() for w in members]))
-        d2 = float(np.mean([moments(w).dispersion for w in members]))
-        avg = np.mean([w.values for w in members], axis=0)
+        e = float(np.mean(means[:k]))
+        d2 = float(np.mean(disps[:k]))
+        avg = np.mean([w.values for w in windows[:k]], axis=0)
         observed = float(np.mean(np.abs(avg - e) >= eps))
         bound = d2 / (k * eps**2)
         trace.append((k, observed, bound))
@@ -363,9 +365,6 @@ def composed_independence_check(
     family,
     g_family: Sequence[Sequence[Callable]],
     k,
-    niven_M: int = 8,
-    niven_threshold: float = 0.05,
-    indep_threshold: float = 0.02,
     tolerance: float = 0.02,
 ) -> ExperimentReport:
     """Product-mean factorization of composed, resampled family members.
@@ -374,16 +373,10 @@ def composed_independence_check(
     |E_N(prod g_j(v_j(k))) - prod E_N(g_j(v_j(k)))|; the statistic is the max.
     A g that fails or is not finite on its member's values raises DomainError.
     """
-    k = np.asarray(k, dtype=np.int64)
-    gate = niven_ud_test(k, niven_M, threshold=niven_threshold)
-    if not gate.passed:
-        raise GateError(
-            f"index sequence fails the uniform-distribution gate "
-            f"(deviation {gate.statistics['max_deviation']:.4g})"
-        )
+    k = _index_gate(k)
     N = int(k.max())
     windows = [h.window(N) for h in family]
-    _pairwise_independence_gate(windows, indep_threshold)
+    _pairwise_independence_gate(windows)
     resampled = [subsequence(w, k) for w in windows]
     trace = []
     worst = 0.0

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .density import APSet, FACTORIAL_LADDER
-from .errors import ContinuityBudgetError, DiagnosticError, ResolutionError
+from .errors import ContinuityBudgetError, DiagnosticError, DomainError, ResolutionError
 from .primes import divisors
 from .seqgen import CallableSequence, PeriodicTable, SequenceWindow
 
@@ -172,14 +172,22 @@ def _eval_block(h, m: int) -> np.ndarray:
     return np.concatenate([head, h.window(m - 1).values]) if m > 1 else head[:m]
 
 
+def _finite(vals: np.ndarray, what: str) -> np.ndarray:
+    """vals, or DomainError when one is not finite: `what` of them is not a number."""
+    if not np.isfinite(vals).all():
+        raise DomainError(f"sequence values are not finite: no {what}")
+    return vals
+
+
 def periodize(h, m: int) -> PeriodicTable:
     """The m-periodic sequence agreeing with h on 0..m-1."""
     return PeriodicTable(_eval_block(h, m))
 
 
 def period_mean(h, m: int) -> float:
-    """Average of h over one period: (1/m) sum of h(0..m-1)."""
-    return float(_eval_block(h, m).mean())
+    """Average of h over one period: (1/m) sum of h(0..m-1); DomainError when
+    one of them is not finite."""
+    return float(_finite(_eval_block(h, m), "period mean").mean())
 
 
 @dataclass
@@ -204,6 +212,7 @@ class ContinuityProfile:
 
 
 def _window_values(v, window_N: int | None, ladder: Sequence[int]) -> np.ndarray:
+    """The values whose class spreads are scanned; DomainError when one is not finite."""
     need = 2 * max(ladder)
     if isinstance(v, SequenceWindow):
         vals = v.values
@@ -214,7 +223,7 @@ def _window_values(v, window_N: int | None, ladder: Sequence[int]) -> np.ndarray
             f"window of {vals.size} too short for ladder max {max(ladder)} "
             f"(need at least {need})"
         )
-    return vals
+    return _finite(vals, "class spreads")
 
 
 def _class_spreads(vals: np.ndarray, m: int) -> np.ndarray:
@@ -305,11 +314,11 @@ class HaarTrace:
 
 def haar_integral(h, ladder: Sequence[int] = FACTORIAL_LADDER) -> HaarTrace:
     """Period means of h along the ladder, converging to the Haar average
-    when h is congruence-continuous.  Non-settling traces are returned as-is.
+    when h is congruence-continuous.  Non-settling traces are returned as-is;
+    a value that is not finite has no mean (DomainError).
     """
     ladder = sorted(int(m) for m in ladder)
-    top = ladder[-1]
-    vals = _eval_block(h, top)
+    vals = _finite(_eval_block(h, ladder[-1]), "period means")
     means = tuple(float(vals[:m].mean()) for m in ladder)
     return HaarTrace(means[-1], tuple(ladder), means)
 

@@ -2,9 +2,11 @@
 chains, additive arithmetic functions driven by values on primes, and simple
 (step) sequences over arithmetic-progression sets.
 
-All generators produce immutable finite `SequenceWindow`s v(1..N) and keep a
-closed-form handle so windows can be re-derived, extended, or evaluated at
-arbitrary indices (the polyadic module relies on the handles).
+Every sequence kind is one class with `eval(n)` at any index n >= 0,
+`window(N)`, the immutable finite `SequenceWindow` v(1..N), and `witness(eps)`,
+a modulus whose congruence classes pin the values within eps (None when the
+class knows none); the polyadic module relies on these three.  A window holds
+its values and bounds only.
 """
 
 from __future__ import annotations
@@ -70,17 +72,14 @@ class BaseChain:
     def capacity(self) -> int:
         return self.moduli[-1]
 
-    def extended(self, extra_levels: int = 1) -> "BaseChain":
+    def extended(self) -> "BaseChain":
+        """The chain with one more level from its growth rule."""
         if self.growth is None:
             raise CapacityError("chain has no growth rule to extend with")
-        moduli = list(self.moduli)
-        for _ in range(extra_levels):
-            if self.growth == "geometric":
-                moduli.append(moduli[-1] * self.ratio)
-            else:
-                step = len(moduli) + 1 if len(moduli) >= 2 else 2
-                moduli.append(moduli[-1] * step)
-        return BaseChain(tuple(moduli), self.growth, self.ratio)
+        q = self.moduli
+        # a factorial chain holds 1!, ..., K!; K = len(q)
+        step = self.ratio if self.growth == "geometric" else len(q) + 1
+        return BaseChain((*q, q[-1] * step), self.growth, self.ratio)
 
     def ensure_capacity(self, n: int) -> "BaseChain":
         """A chain (possibly extended) whose digit expansion closes for n."""
@@ -112,7 +111,7 @@ def gen_vdc(n: int, chain: BaseChain) -> float:
 
 
 class VdcSequence:
-    """Closed-form handle for the radical-inverse sequence over a chain.
+    """The radical-inverse sequence over a chain.
 
     Evaluation grows the chain on demand (given a growth rule); congruence
     mod Q_j pins the first j digits, so values of a congruence class differ
@@ -152,7 +151,7 @@ class VdcSequence:
                 break
             rows = min(q[j + 1] // q[j], N // q[j] + 1)
             vals = np.add.outer(np.arange(rows) / q[j + 1], vals).ravel()
-        return SequenceWindow(vals[1 : N + 1], bounds=(0.0, 1.0), generator=self)
+        return SequenceWindow(vals[1 : N + 1], bounds=(0.0, 1.0))
 
     def witness(self, eps: float) -> int | None:
         """Smallest chain modulus m with 1/m <= eps."""
@@ -181,7 +180,9 @@ def _prime_flags(keys: list[int]):
 
 @dataclass(frozen=True)
 class AdditiveFunctionSpec:
-    """Nonnegative prime values f(p) with a convergent-tail bound.
+    """The additive function f(n) = sum of f(p) over the distinct primes p
+    dividing n, given by nonnegative prime values f(p) and a convergent-tail
+    bound.
 
     Prime powers are flattened (f(p^k) = f(p)), so a value on each prime
     determines the whole additive function.  Stored nonzero values must be
@@ -228,10 +229,6 @@ class AdditiveFunctionSpec:
             tail_bound = max(2.0 * fn(pmax + 1) if fn(pmax + 1) > 0 else 0.0, 0.0)
         return cls({p: fn(p) for p in ps}, tail_bound)
 
-    @property
-    def pmax(self) -> int:
-        return self.prime_values[-1][0] if self.prime_values else 0
-
     def value(self, p: int) -> float:
         try:
             return self._map[p]
@@ -247,28 +244,21 @@ class AdditiveFunctionSpec:
     def total(self) -> float:
         return sum(v for _, v in self.prime_values) + self.tail_bound
 
-
-class AdditiveSequence:
-    """Handle for f(n) = sum of f(p) over distinct primes p dividing n."""
-
-    def __init__(self, spec: AdditiveFunctionSpec):
-        self.spec = spec
-
     def eval(self, n: int) -> float:
         if n == 0:
             # polyadic limit point: every prime divides 0
-            return self.spec.total()
-        return float(sum(self.spec.value(p) for p in distinct_prime_factors(n)))
+            return self.total()
+        return float(sum(self.value(p) for p in distinct_prime_factors(n)))
 
     def window(self, N: int) -> "SequenceWindow":
-        return gen_additive(N, self.spec)
+        return gen_additive(N, self)
 
     def witness(self, eps: float) -> int | None:
         """Smallest factorial m = k! whose congruence classes pin f within eps."""
         m = 1
         for k in range(1, 26):
             m *= k
-            if 2 * self.spec.tail_above(k) < eps:
+            if 2 * self.tail_above(k) < eps:
                 return m
         return None
 
@@ -285,12 +275,13 @@ def gen_additive(N: int, spec: AdditiveFunctionSpec) -> "SequenceWindow":
     vals = np.zeros(N + 1, dtype=float)
     for p in needed:
         vals[p::p] += spec.value(int(p))
-    return SequenceWindow(vals[1:], generator=AdditiveSequence(spec))
+    return SequenceWindow(vals[1:])
 
 
 @dataclass(frozen=True)
 class SimpleSpec:
-    """Finite linear combination of indicators of disjoint APSets."""
+    """Simple (step) sequence: a finite linear combination of indicators of
+    disjoint APSets, periodic with the lcm period."""
 
     parts: tuple[tuple[APSet, float], ...]
 
@@ -317,22 +308,8 @@ class SimpleSpec:
                 return c
         return 0.0
 
-
-class SimpleSequence:
-    """Handle for a simple (step) sequence; periodic with the lcm period."""
-
-    def __init__(self, spec: SimpleSpec):
-        self.spec = spec
-
-    @property
-    def period(self) -> int:
-        return self.spec.period
-
-    def eval(self, n: int) -> float:
-        return self.spec.eval(n)
-
     def window(self, N: int) -> "SequenceWindow":
-        return gen_simple(N, self.spec)
+        return gen_simple(N, self)
 
     def witness(self, eps: float) -> int | None:
         return self.period
@@ -345,11 +322,11 @@ def gen_simple(N: int, spec: SimpleSpec) -> "SequenceWindow":
     vals = np.zeros(N, dtype=float)
     for s, c in spec.parts:
         vals[s.mask(N)] = c
-    return SequenceWindow(vals, generator=SimpleSequence(spec))
+    return SequenceWindow(vals)
 
 
 class PeriodicTable:
-    """Handle for an explicitly tabulated periodic sequence."""
+    """An explicitly tabulated periodic sequence."""
 
     def __init__(self, values: Iterable[float]):
         self.values = tuple(float(v) for v in values)
@@ -368,14 +345,14 @@ class PeriodicTable:
     def window(self, N: int) -> "SequenceWindow":
         reps = -(-N // self.period) + 1
         vals = np.tile(np.array(self.values), reps)[1 : N + 1]
-        return SequenceWindow(vals, generator=self)
+        return SequenceWindow(vals)
 
     def witness(self, eps: float) -> int | None:
         return self.period
 
 
 class CallableSequence:
-    """Handle wrapping an arbitrary n -> value rule; no continuity knowledge."""
+    """An arbitrary n -> value rule; no continuity knowledge."""
 
     def __init__(self, fn: Callable[[int], float], name: str = "fn"):
         self.fn = fn
@@ -386,7 +363,7 @@ class CallableSequence:
 
     def window(self, N: int) -> "SequenceWindow":
         vals = np.array([self.fn(n) for n in range(1, N + 1)], dtype=float)
-        return SequenceWindow(vals, generator=self)
+        return SequenceWindow(vals)
 
     def witness(self, eps: float) -> int | None:
         return None
@@ -394,14 +371,12 @@ class CallableSequence:
 
 @dataclass(frozen=True, eq=False)
 class SequenceWindow:
-    """Immutable finite prefix v(1..N) with enclosing bounds and an optional
-    closed-form generator handle."""
+    """Immutable finite prefix v(1..N) with enclosing bounds."""
 
     values: np.ndarray
     bounds: tuple[float, float]
-    generator: object | None = None
 
-    def __init__(self, values, bounds: tuple[float, float] | None = None, generator=None):
+    def __init__(self, values, bounds: tuple[float, float] | None = None):
         vals = np.asarray(values, dtype=float).copy()
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("window needs at least one value")
@@ -412,7 +387,6 @@ class SequenceWindow:
             raise ValueError(f"values escape declared bounds [{a}, {b}]")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "bounds", (a, b))
-        object.__setattr__(self, "generator", generator)
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -59,10 +59,8 @@ from measeq.experiments import (
 from measeq.polyadic import haar_integral, p_continuity_profile, polyadic_distance
 from measeq.seqgen import (
     AdditiveFunctionSpec,
-    AdditiveSequence,
     BaseChain,
     SimpleSpec,
-    SimpleSequence,
     VdcSequence,
     gen_additive,
 )
@@ -157,9 +155,7 @@ def test_criterion_05_independence_harness():
 
 def test_criterion_06_haar_integration():
     with criterion("06", "Haar integration along the factorial ladder"):
-        trace = haar_integral(
-            SimpleSequence(SimpleSpec([(APSet.single(1, 3), 1.0)])), FACTORIAL_LADDER
-        )
+        trace = haar_integral(SimpleSpec([(APSet.single(1, 3), 1.0)]), FACTORIAL_LADDER)
         for level, mean in zip(trace.levels, trace.means):
             if level >= 6:
                 assert mean == 1 / 3
@@ -182,9 +178,7 @@ def test_criterion_07a_additive_congruence_and_witnesses():
         for r in range(24):  # classes mod 4! = 24, exhaustive over the window
             vals = w.values[idx % 24 == r]
             assert vals.max() - vals.min() <= bound
-        prof = p_continuity_profile(
-            AdditiveSequence(spec), [1e-2, 1e-4], FACTORIAL_LADDER
-        )
+        prof = p_continuity_profile(spec, [1e-2, 1e-4], FACTORIAL_LADDER)
         assert prof.failures == ()
         assert prof.witness_for(1e-2) is not None
         assert prof.witness_for(1e-4) is not None

@@ -390,6 +390,27 @@ class TestExitCodes:
         ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, message", [
+        (["polyadic", "profile", "--seq", '{"kind":"periodic","values":[Infinity,0,1]}',
+          "--ladder", "1,2,6"], "sequence values are not finite: no class spreads"),
+        (["polyadic", "integrate", "--seq", '{"kind":"periodic","values":[Infinity,0,-Infinity]}',
+          "--ladder", "1,3"], "sequence values are not finite: no period means"),
+        (["exp", "resample", "--config", '{"seq":{"kind":"periodic","values":[Infinity,0,1]},'
+          '"n":100000,"indices":{"n":100000}}'], "sequence values are not finite: no class spreads"),
+        # the (0, p) progressions of the first 18 primes meet in all 2^18 - 1 > 200000 subsets
+        (["density", "--pred", json.dumps({"ap": [{"r": 0, "m": p} for p in
+          (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]})],
+         "inclusion-exclusion exceeded 200000 terms"),
+    ])
+    def test_refusal_is_one_line_and_no_report(self, tmp_path, monkeypatch, capsys, argv, message):
+        # an AP union past the term limit is refused before the density survey
+        monkeypatch.setattr(cli.de, "survey", lambda *args: pytest.fail("the survey ran"))
+        out = tmp_path / "run.json"
+        assert main(["--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"run refused: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_edf_of_infinite_values_runs(self, capsys):
         argv = ["dist", "edf", "--seq", '{"kind":"periodic","values":[1,Infinity,0]}', "--n", "30"]
         assert main(argv) == 0

@@ -29,7 +29,7 @@ from measeq.density import (
     Predicate,
     _verify_cover,
 )
-from measeq.errors import DiagnosticError, MeaseqError
+from measeq.errors import CapacityError, DiagnosticError, MeaseqError
 from measeq.seqgen import BaseChain, SequenceWindow, VdcSequence
 
 
@@ -161,6 +161,13 @@ class TestUnionDensity:
     @settings(max_examples=100)
     def test_matches_enumeration(self, s):
         assert ap_union_density(s) == union_density_by_enumeration(s)
+
+    def test_term_limit_counts_subset_nodes(self):
+        # coprime moduli: all 2^4 - 1 nonempty subsets intersect, so 15 nodes
+        s = APSet([(0, 2), (0, 3), (0, 5), (0, 7)])
+        assert ap_union_density(s, term_limit=15) == 1 - Fraction(1 * 2 * 4 * 6, 2 * 3 * 5 * 7)
+        with pytest.raises(CapacityError, match="^inclusion-exclusion exceeded 14 terms$"):
+            ap_union_density(s, term_limit=14)
 
 
 class TestSaturation:

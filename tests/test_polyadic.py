@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measeq.density import APSet, FACTORIAL_LADDER, ap_union_density
-from measeq.errors import ContinuityBudgetError, DiagnosticError, ResolutionError
+from measeq.errors import ContinuityBudgetError, DiagnosticError, DomainError, ResolutionError
 from measeq.polyadic import (
     DyadicRational,
     OmegaPoint,
@@ -24,11 +24,9 @@ from measeq.polyadic import (
 )
 from measeq.seqgen import (
     AdditiveFunctionSpec,
-    AdditiveSequence,
     BaseChain,
     CallableSequence,
     PeriodicTable,
-    SimpleSequence,
     SimpleSpec,
     VdcSequence,
 )
@@ -43,8 +41,8 @@ def series_tail_oracle(a: int, b: int, terms: int = 64) -> Fraction:
     )
 
 
-def indicator(apset: APSet) -> SimpleSequence:
-    return SimpleSequence(SimpleSpec([(apset, 1.0)]))
+def indicator(apset: APSet) -> SimpleSpec:
+    return SimpleSpec([(apset, 1.0)])
 
 
 class TestDyadicRational:
@@ -200,6 +198,17 @@ class TestPeriodization:
                 got = period_mean(indicator(APSet.single(r, m)), 3 * m)
                 assert got == 1 / m
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_values_periodize_but_have_no_mean(self):
+        seq = PeriodicTable([float("inf"), 0.0, float("-inf")])
+        assert periodize(seq, 3).values == seq.values
+        with pytest.raises(DomainError, match="^sequence values are not finite: no period mean$"):
+            period_mean(seq, 3)
+        with pytest.raises(DomainError, match="no period means$"):
+            haar_integral(seq, (1, 3))
+        with pytest.raises(DomainError, match="no class spreads$"):
+            p_continuity_profile(seq, [0.5], (1, 3))
+
 
 class TestHaarIntegral:
     def test_indicator_exact_from_level_six(self):
@@ -215,7 +224,7 @@ class TestHaarIntegral:
 
     def test_additive_trace_stabilizes_within_tail(self):
         spec = AdditiveFunctionSpec.from_function(lambda p: 4.0**-p, 40_320)
-        trace = haar_integral(AdditiveSequence(spec), FACTORIAL_LADDER)
+        trace = haar_integral(spec, FACTORIAL_LADDER)
         # means at levels k! and above stay within twice the tail beyond k
         for i, (level, mean) in enumerate(zip(trace.levels, trace.means)):
             for level2, mean2 in zip(trace.levels[i + 1 :], trace.means[i + 1 :]):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from measeq import seqgen
+from measeq.cli import parse_sequence_spec
 from measeq.density import APSet
 from measeq.errors import (
     CapacityError,
@@ -23,6 +24,7 @@ from measeq.errors import (
 from measeq.seqgen import (
     AdditiveFunctionSpec,
     BaseChain,
+    CallableSequence,
     SequenceWindow,
     SimpleSpec,
     VdcSequence,
@@ -119,11 +121,22 @@ class TestVdc:
                 vals = w.values[idx % qj == r]
                 assert vals.max() - vals.min() <= 1 / qj
 
-    def test_window_matches_pointwise_eval(self):
-        handle = VdcSequence(BaseChain.geometric(3, 1))
+    @pytest.mark.parametrize("handle", [
+        pytest.param(parse_sequence_spec(spec), id=spec["kind"]) for spec in (
+            {"kind": "vdc", "chain": {"ratio": 3}},
+            {"kind": "additive", "tail": 0.005, "primes": {
+                str(p): p**-2.0 for p in range(2, 201) if trial_division_factors(p) == [p]}},
+            {"kind": "simple", "parts": [{"r": 1, "m": 3, "c": 0.5}, {"r": 0, "m": 6, "c": -2}]},
+            {"kind": "periodic", "values": [0.25, 1, -3]},
+            {"kind": "uniform", "n": 7},
+        )
+    ] + [pytest.param(CallableSequence(lambda n: n % 5 / 5), id="callable")])
+    def test_window_matches_pointwise_eval(self, handle):
+        # every sequence kind is one object with eval, window and witness
         w = handle.window(200)
         for n in (1, 7, 50, 200):
             assert w.value(n) == handle.eval(n)
+        assert callable(handle.witness)
 
     @given(
         st.one_of(
