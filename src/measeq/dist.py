@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import isnan
+from math import isfinite, isnan
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -77,6 +77,11 @@ class EDF:
         return float(out) if np.isscalar(x) else out
 
     def mean(self) -> float:
+        """Mass-weighted mean of the atoms; atoms at +inf and at -inf have none
+        (DomainError)."""
+        lo, hi = self.breakpoints[[0, -1]].tolist()
+        if isnan(lo + hi):
+            raise DomainError("atoms at +inf and at -inf have no mean")
         return float(np.sum(self.breakpoints * self.jumps))
 
 
@@ -112,13 +117,16 @@ def _finite_bounds(w: SequenceWindow, which: str = "") -> None:
 
 def moments(w: SequenceWindow) -> MomentSummary:
     """Mean, dispersion and half-window stability; a window with infinite
-    bounds has none of them (DomainError)."""
+    bounds, or whose sums overflow, has none of them (DomainError)."""
     _finite_bounds(w)
     vals = w.values
-    m = float(vals.mean())
-    d2 = float(np.mean((vals - m) ** 2))
-    half = vals[: max(1, len(vals) // 2)]
-    return MomentSummary(m, d2, len(vals), abs(m - float(half.mean())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(vals.mean())
+        d2 = float(np.mean((vals - m) ** 2))
+        gap = abs(m - float(vals[: max(1, len(vals) // 2)].mean()))
+    if not (isfinite(m) and isfinite(d2) and isfinite(gap)):
+        raise DomainError("sums of window values overflow: no moments")
+    return MomentSummary(m, d2, len(vals), gap)
 
 
 def linearity_check(v: SequenceWindow, w: SequenceWindow, a: float, b: float) -> float:
@@ -255,36 +263,41 @@ def _default_grid(w: SequenceWindow) -> tuple[tuple[float, float], ...]:
 
 
 def cell_index(values: np.ndarray, cells: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Index of the half-open cell [lo, hi) holding each value, len(cells) if none does.
+    """Index of the half-open cell [lo, hi) holding each value, len(cells) if none does,
+    in the narrowest unsigned dtype that holds len(cells) (uint8 up to 255 cells).
 
     Cells must be pairwise disjoint (ValueError otherwise); an empty cell
     (lo >= hi) holds nothing.  Membership uses the float comparisons
-    lo <= x < hi, so values on an edge belong to the cell they start.
+    lo <= x < hi, so values on an edge belong to the cell they start.  No
+    edge lies inside a stretch between consecutive distinct edges, so the
+    cell holding a stretch's left end holds all of it; a value's stretch is
+    the number of edges e with x >= e (none for NaN).
     """
     bounds = np.array(cells, dtype=float).reshape(-1, 2)
     live = np.flatnonzero(bounds[:, 0] < bounds[:, 1])
     live = live[np.argsort(bounds[live, 0], kind="stable")]
-    # a leading cell [-inf, -inf) holds nothing, so every search lands on a cell
-    lo = np.concatenate(([-np.inf], bounds[live, 0]))
-    hi = np.concatenate(([-np.inf], bounds[live, 1]))
+    lo, hi = bounds[live, 0], bounds[live, 1]
     if (hi[:-1] > lo[1:]).any():
         raise ValueError("cells overlap; they must be disjoint half-open intervals")
-    label = np.concatenate(([len(bounds)], live))
-    pos = np.searchsorted(lo, values, side="right") - 1
-    return np.where(values < hi[pos], label[pos], len(bounds))
+    edges = np.array(sorted(set(bounds[live].ravel().tolist())))
+    # the last cell starting at or below an edge holds it if the edge lies below its end
+    pos = np.searchsorted(lo, edges, side="right") - 1
+    held = np.where(edges < hi[pos], live[pos], len(bounds))
+    label = np.concatenate(([len(bounds)], held)).astype(np.min_scalar_type(len(bounds)))
+    stretch = np.zeros(values.shape, dtype=np.min_scalar_type(edges.size))
+    above = np.empty(values.shape, dtype=bool)
+    for e in edges.tolist():
+        stretch += np.greater_equal(values, e, out=above)
+    return label.take(stretch)
 
 
-def cell_deviations(cv: np.ndarray, cw: np.ndarray, kv: int, kw: int) -> np.ndarray:
-    """kv x kw table of |freq(v in I, w in I1) - freq(v in I) freq(w in I1)|.
-
-    cv, cw are `cell_index` results over kv and kw cells (index kv, kw = no cell).
-    """
-    n = cv.size
-    counts = np.bincount(cv * (kw + 1) + cw, minlength=(kv + 1) * (kw + 1))
-    counts = counts.reshape(kv + 1, kw + 1)
-    fv = counts.sum(axis=1)[:kv] / n
-    fw = counts.sum(axis=0)[:kw] / n
-    return np.abs(counts[:kv, :kw] / n - np.outer(fv, fw))
+def table_deviations(counts: np.ndarray, n: int) -> np.ndarray:
+    """|counts/n - fv fw| over the cells of (kv+1) x (kw+1) count tables, or of
+    a stack of them: fv and fw are the row and column frequencies, and the
+    last row and column count the values in no cell."""
+    fv = counts.sum(axis=-1)[..., :-1] / n
+    fw = counts.sum(axis=-2)[..., :-1] / n
+    return np.abs(counts[..., :-1, :-1] / n - fv[..., :, None] * fw[..., None, :])
 
 
 def interval_independence_stat(
@@ -307,9 +320,10 @@ def interval_independence_stat(
         grid_v, grid_w = _default_grid(v), _default_grid(w)
     else:
         grid_v, grid_w = grid
-    dev = cell_deviations(
-        cell_index(v.values, grid_v), cell_index(w.values, grid_w), len(grid_v), len(grid_w)
-    ).ravel().tolist()
+    kv, kw = len(grid_v) + 1, len(grid_w) + 1
+    codes = cell_index(v.values, grid_v).astype(np.intp) * kw + cell_index(w.values, grid_w)
+    counts = np.bincount(codes, minlength=kv * kw).reshape(kv, kw)
+    dev = table_deviations(counts, len(v)).ravel().tolist()
     table = tuple(
         (f"[{iv[0]:g},{iv[1]:g})", f"[{iw[0]:g},{iw[1]:g})", d)
         for (iv, iw), d in zip(product(grid_v, grid_w), dev)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import _default_grid, cell_deviations, cell_index, moments, sup_norm
+from .dist import _default_grid, cell_index, moments, sup_norm, table_deviations
 from .errors import ContinuityBudgetError, DegenerateWindowError, DiagnosticError, GateError
 from .polyadic import (
     FACTORIAL_LADDER,
@@ -95,16 +95,22 @@ class ExperimentReport:
 
 
 def niven_ud_test(k, M: int, threshold: float = 0.05) -> ExperimentReport:
-    """Worst residue-class frequency deviation from 1/m over all moduli m <= M."""
+    """Worst residue-class frequency deviation from 1/m over all moduli m <= M.
+
+    k is reduced only modulo the m in (M/2, M], which divide no other modulus;
+    a smaller m sums the class counts of its largest multiple up to M.
+    """
     k = np.asarray(k, dtype=np.int64)
     if M < 1:
         raise ValueError("M must be >= 1")
     if k.size < 100 * M:
         raise DiagnosticError(f"need at least {100 * M} indices for M={M}, got {k.size}")
+    counts = {m: np.bincount(k % m, minlength=m) for m in range(M // 2 + 1, M + 1)}
     trace = []
     worst = 0.0
     for m in range(1, M + 1):
-        freq = np.bincount(k % m, minlength=m) / k.size
+        top = M // m * m
+        freq = counts[top].reshape(top // m, m).sum(axis=0) / k.size
         dev = float(np.abs(freq - 1.0 / m).max())
         trace.append((m, dev))
         worst = max(worst, dev)
@@ -168,17 +174,48 @@ def resample_invariance(
 
 def _pairwise_independence_gate(windows: list[SequenceWindow]) -> None:
     """`interval_independence_stat` on default grids at INDEP_THRESHOLD for
-    every pair, each member's cells found once."""
-    grids = [_default_grid(w) for w in windows]
-    cells = [cell_index(w.values, g) for w, g in zip(windows, grids)]
-    for i in range(len(windows)):
-        for j in range(i + 1, len(windows)):
-            stat = float(cell_deviations(cells[i], cells[j], len(grids[i]), len(grids[j])).max())
-            if not stat <= INDEP_THRESHOLD:
-                raise GateError(
-                    f"members {i} and {j} fail the independence gate "
-                    f"({stat:.4g} > {INDEP_THRESHOLD})"
-                )
+    every pair; GateError names the first pair in `np.triu_indices` order that
+    fails.
+
+    Members are coupled (0, 1), (2, 3), ... (an odd last member alone), and a
+    couple's cells make one uint8 code c_a * 11 + c_b.  One bincount of two
+    couples' joint code holds their four cross-pair tables, and a couple's own
+    bincount its inner pair's, so the k(k-1)/2 tables take about k^2/8 passes
+    over the window; their deviations are one vectorized step.
+    """
+    k, K = len(windows), 11  # K: a default grid's 10 cells, then "no cell"
+    # one block for all couple codes, so that freeing it hands the memory back
+    codes = np.zeros(((k + 1) // 2, len(windows[0])), dtype=np.uint8)
+    for i, w in enumerate(windows):
+        if i % 2:
+            codes[i // 2] *= K
+        codes[i // 2] += cell_index(w.values, _default_grid(w))
+    sizes = [min(2, k - 2 * g) for g in range(len(codes))]
+    tables = {}
+    for g, (code, size) in enumerate(zip(codes, sizes)):
+        if size == 2:
+            tables[2 * g, 2 * g + 1] = np.bincount(code, minlength=K * K).reshape(K, K)
+        for h, size_h in enumerate(sizes[g + 1 :], g + 1):
+            joint = code * np.uint16(K**size_h) + codes[h]  # below 11^4, so uint16
+            joint = np.bincount(joint, minlength=K ** (size + size_h))
+            joint = joint.reshape((K,) * (size + size_h))
+            for p in range(size):
+                # sum out the other member of g, then the other member of h
+                part = joint.sum(axis=1 - p) if size == 2 else joint
+                for q in range(size_h):
+                    tables[2 * g + p, 2 * h + q] = part.sum(axis=2 - q) if size_h == 2 else part
+    first, second = np.triu_indices(k, 1)
+    if not first.size:
+        return
+    stack = np.stack([tables[pair] for pair in zip(first.tolist(), second.tolist())])
+    stat = table_deviations(stack, len(windows[0])).max(axis=(1, 2))
+    failing = np.flatnonzero(~(stat <= INDEP_THRESHOLD))
+    if failing.size:
+        p = failing[0]
+        raise GateError(
+            f"members {first[p]} and {second[p]} fail the independence gate "
+            f"({stat[p]:.4g} > {INDEP_THRESHOLD})"
+        )
 
 
 def _moment_gate(windows: list[SequenceWindow]) -> tuple[list[float], list[float]]:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -179,6 +180,15 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
+def _mean(vals: np.ndarray, what: str) -> float:
+    """Mean of finite vals, or DomainError when their sum overflows: no `what`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(vals.mean())
+    if not isfinite(mean):
+        raise DomainError(f"sums of sequence values overflow: no {what}")
+    return mean
+
+
 def periodize(h, m: int) -> PeriodicTable:
     """The m-periodic sequence agreeing with h on 0..m-1."""
     return PeriodicTable(_eval_block(h, m))
@@ -186,8 +196,8 @@ def periodize(h, m: int) -> PeriodicTable:
 
 def period_mean(h, m: int) -> float:
     """Average of h over one period: (1/m) sum of h(0..m-1); DomainError when
-    one of them is not finite."""
-    return float(_finite(_eval_block(h, m), "period mean").mean())
+    one of them, or their sum, is not finite."""
+    return _mean(_finite(_eval_block(h, m), "period mean"), "period mean")
 
 
 @dataclass
@@ -315,11 +325,11 @@ class HaarTrace:
 def haar_integral(h, ladder: Sequence[int] = FACTORIAL_LADDER) -> HaarTrace:
     """Period means of h along the ladder, converging to the Haar average
     when h is congruence-continuous.  Non-settling traces are returned as-is;
-    a value that is not finite has no mean (DomainError).
+    a value or a sum that is not finite has no mean (DomainError).
     """
     ladder = sorted(int(m) for m in ladder)
     vals = _finite(_eval_block(h, ladder[-1]), "period means")
-    means = tuple(float(vals[:m].mean()) for m in ladder)
+    means = tuple(_mean(vals[:m], "period means") for m in ladder)
     return HaarTrace(means[-1], tuple(ladder), means)
 
 

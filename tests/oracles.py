@@ -15,7 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from measeq.density import APSet, CoverCertificate, MeasurabilityReport
-from measeq.errors import DiagnosticError
+from measeq.dist import _default_grid
+from measeq.errors import DiagnosticError, GateError
+from measeq.experiments import INDEP_THRESHOLD
 from measeq.polyadic import extend_eval, sample_omega
 from measeq.primes import is_prime
 
@@ -86,6 +88,46 @@ def interval_independence_table_oracle(v, w, grid_v, grid_w):
 
 def interval_independence_oracle(v, w, grid_v, grid_w):
     return max(interval_independence_table_oracle(v, w, grid_v, grid_w))
+
+
+def cell_index_oracle(values, cells):
+    # the last live cell starting at or below each value, if the value lies below its end
+    bounds = np.array(cells, dtype=float).reshape(-1, 2)
+    live = np.flatnonzero(bounds[:, 0] < bounds[:, 1])
+    live = live[np.argsort(bounds[live, 0], kind="stable")]
+    # a leading cell [-inf, -inf) holds nothing, so every search lands on a cell
+    lo = np.concatenate(([-np.inf], bounds[live, 0]))
+    hi = np.concatenate(([-np.inf], bounds[live, 1]))
+    if (hi[:-1] > lo[1:]).any():
+        raise ValueError("cells overlap; they must be disjoint half-open intervals")
+    label = np.concatenate(([len(bounds)], live))
+    pos = np.searchsorted(lo, values, side="right") - 1
+    return np.where(values < hi[pos], label[pos], len(bounds))
+
+
+def _cell_deviations_oracle(cv, cw, kv, kw):
+    n = cv.size
+    counts = np.bincount(cv * (kw + 1) + cw, minlength=(kv + 1) * (kw + 1))
+    counts = counts.reshape(kv + 1, kw + 1)
+    fv = counts.sum(axis=1)[:kv] / n
+    fw = counts.sum(axis=0)[:kw] / n
+    return np.abs(counts[:kv, :kw] / n - np.outer(fv, fw))
+
+
+def pairwise_independence_gate_oracle(windows):
+    # one count table per pair, pairs in (i, j) order; raises on the first failure
+    grids = [_default_grid(w) for w in windows]
+    cells = [cell_index_oracle(w.values, g) for w, g in zip(windows, grids)]
+    for i in range(len(windows)):
+        for j in range(i + 1, len(windows)):
+            stat = float(
+                _cell_deviations_oracle(cells[i], cells[j], len(grids[i]), len(grids[j])).max()
+            )
+            if not stat <= INDEP_THRESHOLD:
+                raise GateError(
+                    f"members {i} and {j} fail the independence gate "
+                    f"({stat:.4g} > {INDEP_THRESHOLD})"
+                )
 
 
 def region_oracle(seq_values, boxes):

@@ -397,6 +397,13 @@ class TestExitCodes:
           "--ladder", "1,3"], "sequence values are not finite: no period means"),
         (["exp", "resample", "--config", '{"seq":{"kind":"periodic","values":[Infinity,0,1]},'
           '"n":100000,"indices":{"n":100000}}'], "sequence values are not finite: no class spreads"),
+        # sums of finite values that overflow, and atoms at both infinities
+        (["dist", "moments", "--seq", '{"kind":"periodic","values":[1e308,1e308,-1e308]}',
+          "--n", "30"], "sums of window values overflow: no moments"),
+        (["polyadic", "integrate", "--seq", '{"kind":"periodic","values":[1e308,1e308]}',
+          "--ladder", "1,2"], "sums of sequence values overflow: no period means"),
+        (["dist", "edf", "--seq", '{"kind":"periodic","values":[Infinity,0,-Infinity]}',
+          "--n", "30"], "atoms at +inf and at -inf have no mean"),
         # the (0, p) progressions of the first 18 primes meet in all 2^18 - 1 > 200000 subsets
         (["density", "--pred", json.dumps({"ap": [{"r": 0, "m": p} for p in
           (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]})],

@@ -13,6 +13,7 @@ from measeq.dist import (
     EDF,
     DEFAULT_TEST_FAMILY,
     _default_grid,
+    cell_index,
     chebyshev_check,
     convolve_edf,
     correlation,
@@ -336,6 +337,18 @@ class TestIndependenceStats:
         assert [d for _, _, d in rep.table] == want
         assert rep.statistic == max(want)
         assert rep.family == f"intervals {len(grid_v)}x{len(grid_w)}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cell_index_equals_searchsorted_oracle(self, data):
+        # values on cell edges, +-inf and NaN; gapped, shuffled and empty cells
+        cells = data.draw(cell_grids())
+        edges = [x for cell in cells for x in cell]
+        point = st.floats(-3, 3) | st.sampled_from(edges + [np.inf, -np.inf, np.nan])
+        values = np.array(data.draw(st.lists(point, max_size=40)), dtype=float)
+        got = cell_index(values, cells)
+        assert got.dtype == np.min_scalar_type(len(cells))
+        assert got.tolist() == oracles.cell_index_oracle(values, cells).tolist()
 
     @pytest.mark.parametrize(
         "cells",

@@ -18,6 +18,7 @@ from measeq.errors import (
     ResolutionError,
 )
 from measeq.experiments import (
+    _pairwise_independence_gate,
     clt_experiment,
     composed_independence_check,
     identity_indices,
@@ -124,6 +125,27 @@ class TestCltExperiment:
         with pytest.raises(GateError) as e:
             clt_experiment(vdc_family([2, 3, 2]), N=5_000)
         assert str(e.value) == "members 0 and 2 fail the independence gate (0.09032 > 0.02)"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_independence_gate_equals_per_pair_oracle(self, data):
+        # 1-7 members, odd and even; repeated bases make some pairs fail, and
+        # stretched or shifted members have default grids beyond [0, 1)
+        N = data.draw(st.integers(1, 3000))
+        member = st.tuples(st.sampled_from([2, 3, 5, 7, 11]), st.sampled_from([1.0, 3.0, -0.5]),
+                           st.sampled_from([0.0, 1.0, -2.0]))
+        windows = [
+            SequenceWindow(vdc_window(base, N).values * scale + shift)
+            for base, scale, shift in data.draw(st.lists(member, min_size=1, max_size=7))
+        ]
+        try:
+            oracles.pairwise_independence_gate_oracle(windows)
+        except GateError as e:
+            with pytest.raises(GateError) as got:
+                _pairwise_independence_gate(windows)
+            assert str(got.value) == str(e)
+        else:
+            _pairwise_independence_gate(windows)
 
     def test_standardized_reference_at_zero(self):
         assert normal_cdf(0.0) == 0.5
