@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal
 from functools import cache
 from fractions import Fraction
+from math import isinf, isnan
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, get_type_hints
@@ -27,7 +28,7 @@ from . import dist as di
 from . import experiments as ex
 from . import polyadic as po
 from . import seqgen as sg
-from .errors import ConfigError, MeaseqError
+from .errors import ConfigError, DomainError, MeaseqError
 
 
 @dataclass
@@ -414,9 +415,14 @@ def _conv_seqs(args: argparse.Namespace, params: dict) -> list:
 
 def _run_gen(v, cfg: RunConfig):
     w = v.spec.window(v.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(w.values.mean())
+    # values at one infinity have that mean; finite values must have a finite one
+    if isnan(mean) or (isinf(mean) and np.isfinite(w.bounds).all()):
+        raise DomainError("sums of window values overflow or meet +inf and -inf: no mean")
     report = {
         "n": v.n,
-        "mean": float(w.values.mean()),
+        "mean": mean,
         "bounds": list(w.bounds),
     }
     return report, ("n,value", [range(1, len(w) + 1), w.values.tolist()])

@@ -151,6 +151,18 @@ def convolve_oracle(breaks1, jumps1, breaks2, jumps2):
     return xs, [atoms[x] for x in xs]
 
 
+def convolve_unique_oracle(F, F1):
+    # all pairwise sums and product masses at once; bincount adds each atom's
+    # masses in row-major pair order
+    sums = np.add.outer(F.breakpoints, F1.breakpoints).ravel()
+    masses = np.multiply.outer(F.jumps, F1.jumps).ravel()
+    bp, inverse = np.unique(sums, return_inverse=True)
+    mass = np.bincount(inverse, weights=masses, minlength=bp.size)
+    cum = np.minimum(np.cumsum(mass), 1.0)
+    cum[-1] = 1.0
+    return bp, cum
+
+
 def sup_norm_oracle(vals):
     return max(abs(x) for x in vals)
 

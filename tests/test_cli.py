@@ -404,6 +404,16 @@ class TestExitCodes:
           "--ladder", "1,2"], "sums of sequence values overflow: no period means"),
         (["dist", "edf", "--seq", '{"kind":"periodic","values":[Infinity,0,-Infinity]}',
           "--n", "30"], "atoms at +inf and at -inf have no mean"),
+        (["dist", "conv", "--seq", '{"kind":"periodic","values":[1e308,1e307]}',
+          "--seq2", '{"kind":"periodic","values":[1e308,2]}', "--n", "4"],
+         "sums of finite atoms overflow: no convolution"),
+        (["dist", "corr", "--seq", '{"kind":"periodic","values":[1e308,-1e308,0]}',
+          "--seq2", '{"kind":"periodic","values":[0,1,2]}', "--n", "30"],
+         "sums of window values overflow: no correlation"),
+        (["gen", "--spec", '{"kind":"periodic","values":[1e308,1e308]}', "--n", "30"],
+         "sums of window values overflow or meet +inf and -inf: no mean"),
+        (["gen", "--spec", '{"kind":"periodic","values":[Infinity,0,-Infinity]}', "--n", "30"],
+         "sums of window values overflow or meet +inf and -inf: no mean"),
         # the (0, p) progressions of the first 18 primes meet in all 2^18 - 1 > 200000 subsets
         (["density", "--pred", json.dumps({"ap": [{"r": 0, "m": p} for p in
           (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]})],
@@ -420,6 +430,16 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_edf_of_infinite_values_runs(self, capsys):
         argv = ["dist", "edf", "--seq", '{"kind":"periodic","values":[1,Infinity,0]}', "--n", "30"]
+        assert main(argv) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--spec", '{"kind":"periodic","values":[1,Infinity,0]}', "--n", "30"],
+        # finite atoms whose sums stay finite, beside atoms at +inf
+        ["dist", "conv", "--seq", '{"kind":"periodic","values":[Infinity,1e308]}',
+         "--seq2", '{"kind":"periodic","values":[Infinity,2]}', "--n", "4"],
+    ])
+    def test_gen_and_conv_of_infinite_values_run(self, capsys, argv):
         assert main(argv) == 0
 
     @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from measeq.density import APSet
 from measeq.dist import (
+    _CONV_BLOCK,
     EDF,
     DEFAULT_TEST_FAMILY,
     _default_grid,
@@ -230,6 +231,15 @@ class TestCorrelation:
             correlation(flat, v)
         assert e.value.which == "v"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v, w", [
+        ([1e308, -1e308, 0.0], [0.0, 1.0, 2.0]),  # squared deviations overflow
+        ([0.0, 1.0, 2.0], [1e308, 1e308, 1.0]),  # the mean of w overflows
+    ])
+    def test_overflowing_sums_are_a_domain_error(self, v, w):
+        with pytest.raises(DomainError, match="overflow: no correlation"):
+            correlation(SequenceWindow(v), SequenceWindow(w))
+
 
 class TestChebyshev:
     def test_constant(self):
@@ -436,12 +446,25 @@ class TestConvolution:
         with pytest.raises(DomainError, match="no sum"):
             convolve_edf(EDF.from_values([a, 0.0]), EDF.from_values([b, 2.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("a, b, sums", [
         ([np.inf, 0.0], [np.inf, 2.0], [2.0, np.inf]),
         ([-np.inf, np.inf], [1.0, 2.0], [-np.inf, np.inf]),
+        # only the finite atoms' sums must stay finite
+        ([np.inf, 1.0], [1e308, 2.0], [3.0, 1e308, np.inf]),
     ])
     def test_infinite_atoms_without_opposite_sums(self, a, b, sums):
         assert convolve_edf(EDF.from_values(a), EDF.from_values(b)).breakpoints.tolist() == sums
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, b", [
+        ([1e308, 1e307], [1e308, 2.0]),
+        ([-1e308, 0.0], [-1e308, 1.0]),
+        ([np.inf, 1e308], [np.inf, 1e308]),
+    ])
+    def test_overflowing_finite_sums_are_a_domain_error(self, a, b):
+        with pytest.raises(DomainError, match="sums of finite atoms overflow"):
+            convolve_edf(EDF.from_values(a), EDF.from_values(b))
 
     def test_against_dict_oracle(self):
         F, G = edf(vdc_window(2, 12)), edf(vdc_window(3, 9))
@@ -451,7 +474,47 @@ class TestConvolution:
             G.breakpoints.tolist(), G.jumps.tolist(),
         )
         assert got.breakpoints.tolist() == xs
-        assert np.abs(got.jumps - np.array(ms)).max() <= 1e-12
+        cum = np.minimum(np.cumsum(ms), 1.0)
+        cum[-1] = 1.0
+        assert got.cum.tobytes() == cum.tobytes()
+
+    # (F, F1, path): the sorted path ranks each block's sums with searchsorted,
+    # the unique path counts all sums with bincount
+    CASES = {
+        "uniform 1": (lambda: (uniform_edf(1), uniform_edf(1)), "unique"),
+        "uniform 50 x 300": (lambda: (uniform_edf(50), uniform_edf(300)), "sorted"),
+        # 218 rows a block: the second block holds the last 82 rows
+        "uniform 300": (lambda: (uniform_edf(300), uniform_edf(300)), "sorted"),
+        "vdc 3 x 3": (lambda: (edf(vdc_window(3, 400)), edf(vdc_window(3, 250))), "sorted"),
+        "vdc 2 x 3": (lambda: (edf(vdc_window(2, 300)), edf(vdc_window(3, 200))), "unique"),
+        "inf atoms, sorted": (lambda: (EDF.from_values([-np.inf, *np.arange(40) / 8, np.inf]),
+                                       uniform_edf(64)), "sorted"),
+        "inf atoms, unique": (lambda: (EDF.from_values([-np.inf, 0.1, np.inf]),
+                                       edf(vdc_window(3, 50))), "unique"),
+        # one row longer than a block: 1, 2 and 3 plus steps below half an ulp
+        # of 1 round to the integer, so each atom adds 65,636 masses in order
+        "row past the block": (lambda: (EDF.from_values([1.0, 2.0, 3.0]),
+                                        EDF(np.arange(_CONV_BLOCK + 100) * 2.0**-70,
+                                            np.arange(1, _CONV_BLOCK + 101) / (_CONV_BLOCK + 100))),
+                               "sorted"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bits_as_unique_oracle(self, monkeypatch, case):
+        make, path = self.CASES[case]
+        F, G = make()
+        bp, cum = oracles.convolve_unique_oracle(F, G)
+        called = set()
+        for name in ("searchsorted", "bincount"):
+            def spy(*args, _name=name, _real=getattr(np, name), **kwargs):
+                called.add(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, spy)
+        got = convolve_edf(F, G)
+        monkeypatch.undo()
+        assert called == {"searchsorted" if path == "sorted" else "bincount"}
+        assert got.breakpoints.tobytes() == bp.tobytes()
+        assert got.cum.tobytes() == cum.tobytes()
 
 
 class TestSupNorm:
