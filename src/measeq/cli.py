@@ -462,7 +462,9 @@ def _run_density(v, cfg: RunConfig):
 def _run_edf(v, cfg: RunConfig):
     F = di.edf(v.seq.window(v.n))
     report = {"points": int(F.breakpoints.size), "mean": F.mean()}
-    columns = [F.breakpoints.tolist(), F(F.breakpoints).tolist(), F.cum.tolist()]
+    # breakpoints increase strictly, so F(x_i) = padded[i]: the masses shifted down a row
+    upto = list(map(repr, F.cum.tolist()))
+    columns = [F.breakpoints.tolist(), ["0.0", *upto[:-1]], upto]
     return report, ("x,mass_below,mass_upto", columns)
 
 
@@ -699,14 +701,17 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     return 0, output
 
 
-def _cell(x) -> str:
-    return repr(x) if isinstance(x, float) else str(x)
-
-
-def _csv_lines(series) -> list[str]:
+def _csv_text(series) -> str:
+    """The header line, then one line per row, stopping at the shortest column;
+    every cell is written by one `%s` over all rows, which is `repr` for a float
+    (`str(float) == repr(float)`) and `str` for an int or a label."""
     header, columns = series
-    cells = (map(_cell, column) for column in columns)
-    return [header, *map(",".join, zip(*cells))]
+    k = len(columns)
+    n = min(map(len, columns), default=0)
+    cells = [None] * (k * n)
+    for i, column in enumerate(columns):
+        cells[i::k] = column[:n]
+    return f"{header}\n" + (",".join(["%s"] * k) + "\n") * n % tuple(cells)
 
 
 def _emit(cfg: RunConfig, output: dict, series) -> None:
@@ -717,13 +722,13 @@ def _emit(cfg: RunConfig, output: dict, series) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
             if series is not None:
-                path.with_suffix(".csv").write_text("\n".join(_csv_lines(series)) + "\n")
+                path.with_suffix(".csv").write_text(_csv_text(series))
         except OSError as e:
             raise ConfigError(f"cannot write {path}: {e}") from e
     elif cfg.fmt == "csv":
         if series is None:
             raise ConfigError("this verb produces no CSV series; use --format json")
-        sys.stdout.write("\n".join(_csv_lines(series)) + "\n")
+        sys.stdout.write(_csv_text(series))
     else:
         sys.stdout.write(text)
 

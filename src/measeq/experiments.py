@@ -9,20 +9,26 @@ on inputs that fail them; reports are bit-reproducible given the same seed.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .density import MAX_MODULUS
 from .dist import _default_grid, cell_index, moments, sup_norm, table_deviations
-from .errors import ContinuityBudgetError, DegenerateWindowError, DiagnosticError, GateError
+from .errors import (
+    ContinuityBudgetError,
+    DegenerateWindowError,
+    DiagnosticError,
+    GateError,
+    ResolutionError,
+)
 from .polyadic import (
     FACTORIAL_LADDER,
-    OmegaPoint,
     _dividing_level,
     _witness,
-    sample_omega,
     weak_continuity_profile,
 )
 from .primes import first_primes
@@ -310,15 +316,13 @@ def _family_bases(family) -> list[int]:
     return bases
 
 
-def _extended_terms(
-    h, alphas: list[OmegaPoint], levels: tuple[int, ...], eps: float
-) -> np.ndarray:
-    """`extend_eval(h, alpha, eps)` at every alpha on the ladder `levels`: the
-    witness and the first level it divides depend on (h, eps) only, so they are
-    found once, and h is evaluated at all residues in one digit pass."""
-    m = _witness(h, eps)
-    k = _dividing_level(levels, m)
-    return h.values_at(np.array([alpha.residues[k] % m for alpha in alphas], dtype=np.int64))
+def _residues(digits: list[list[int]], k: int, step: int, m: int) -> list[int]:
+    """Each point's residue at level k, the sum of d_j * P**j over j <= k, mod m:
+    Horner's rule on the digits reduced mod m, with step = P mod m."""
+    rs = [ds[k] % m for ds in digits]
+    for j in range(k - 1, -1, -1):
+        rs = [(r * step + ds[j] % m) % m for r, ds in zip(rs, digits)]
+    return rs
 
 
 def metric_ud_experiment(
@@ -339,26 +343,40 @@ def metric_ud_experiment(
     frequencies give conjugate sums of equal magnitude).
     """
     bases = _family_bases(family)
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            if gcd(bases[i], bases[j]) != 1:
-                raise GateError(
-                    f"bases {bases[i]} and {bases[j]} share a factor; family "
-                    f"is not pairwise independent"
-                )
+    product = math.prod(bases)
+    # the bases are pairwise coprime exactly when their lcm is their product
+    if math.lcm(*bases) != product:
+        for i in range(len(bases)):
+            for j in range(i + 1, len(bases)):
+                if gcd(bases[i], bases[j]) != 1:
+                    raise GateError(
+                        f"bases {bases[i]} and {bases[j]} share a factor; family "
+                        f"is not pairwise independent"
+                    )
     if N_terms is None:
         N_terms = len(family)
     if N_terms > len(family):
         raise GateError(f"asked for {N_terms} terms from {len(family)} members")
     depth = max(_digits_needed(b, eval_eps) for b in bases)
-    product = 1
-    for b in bases:
-        product *= b
     levels = tuple(product**i for i in range(1, depth + 1))
-    alphas = [sample_omega(seed * 1_000_003 + i, levels) for i in range(n_alphas)]
     terms = np.empty((n_alphas, N_terms))
-    for t, h in enumerate(family[:N_terms]):
-        terms[:, t] = _extended_terms(h, alphas, levels, eval_eps)
+    members = []  # (h, its witness m, the index k of the first level m divides)
+    for h in family[:N_terms]:
+        m = _witness(h, eval_eps)
+        k = _dividing_level(levels, m)
+        if m > MAX_MODULUS:  # residues mod m reach `values_at` as int64
+            raise ResolutionError(f"witness modulus {m} for eps={eval_eps} exceeds 2**63 - 1")
+        members.append((h, m, k))
+    # point i is `sample_omega(seed * 1_000_003 + i, levels)`, drawn up to the
+    # deepest level a member reads: one digit d_j per level, and the residue at
+    # level k is the sum of d_j * product**j over j <= k
+    count = max((k + 1 for _, _, k in members), default=0)
+    rngs = (random.Random(seed * 1_000_003 + i) for i in range(n_alphas))
+    digits = [[rng.randrange(product) for _ in range(count)] for rng in rngs]
+    # each term is `extend_eval(h, alpha, eval_eps)`: h at the residue mod its witness
+    for t, (h, m, k) in enumerate(members):
+        residues = _residues(digits, k, product % m, m)
+        terms[:, t] = h.values_at(np.array(residues, dtype=np.int64))
     per_alpha = []
     for vals in terms:
         worst = max(

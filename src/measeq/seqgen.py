@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import isnan, lcm
+from math import inf, isnan, isqrt, lcm
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -178,6 +178,11 @@ def _prime_flags(keys: list[int]):
     return itertools.chain(map(is_prime, keys[:lo]), sieved, map(is_prime, keys[hi:]))
 
 
+class _SievedPairs(tuple):
+    """(prime, float value) pairs over all primes up to a bound, ascending, as
+    a sieve gives them: the keys need neither sorting nor a primality check."""
+
+
 @dataclass(frozen=True)
 class AdditiveFunctionSpec:
     """The additive function f(n) = sum of f(p) over the distinct primes p
@@ -194,13 +199,14 @@ class AdditiveFunctionSpec:
     tail_bound: float
 
     def __init__(self, prime_values, tail_bound: float):
-        if isinstance(prime_values, Mapping):
-            items = prime_values.items()
+        if isinstance(prime_values, _SievedPairs):
+            pairs, flags = tuple(prime_values), itertools.repeat(True)
         else:
-            items = prime_values
-        pairs = tuple(sorted((int(p), float(v)) for p, v in items))
+            items = prime_values.items() if isinstance(prime_values, Mapping) else prime_values
+            pairs = tuple(sorted((int(p), float(v)) for p, v in items))
+            flags = _prime_flags([p for p, _ in pairs])
         seen_nonzero = set()
-        for (p, v), prime in zip(pairs, _prime_flags([p for p, _ in pairs])):
+        for (p, v), prime in zip(pairs, flags):
             if not prime:
                 raise SpecificationError(f"{p} is not prime")
             if not v >= 0:
@@ -223,11 +229,11 @@ class AdditiveFunctionSpec:
     def from_function(
         cls, fn: Callable[[int], float], pmax: int, tail_bound: float | None = None
     ) -> "AdditiveFunctionSpec":
-        ps = [int(p) for p in primes_upto(pmax)]
+        ps = primes_upto(pmax).tolist()
         if tail_bound is None:
             # crude geometric majorant: assume fn decays at least like fn(pmax)
             tail_bound = max(2.0 * fn(pmax + 1) if fn(pmax + 1) > 0 else 0.0, 0.0)
-        return cls({p: fn(p) for p in ps}, tail_bound)
+        return cls(_SievedPairs(zip(ps, [float(fn(p)) for p in ps])), tail_bound)
 
     def value(self, p: int) -> float:
         try:
@@ -268,13 +274,24 @@ def gen_additive(N: int, spec: AdditiveFunctionSpec) -> "SequenceWindow":
     if N < 1:
         raise ValueError("N must be >= 1")
     needed = primes_upto(N)
-    stored = {p for p, _ in spec.prime_values}
-    for p in needed:
-        if int(p) not in stored:
-            raise SpecificationError(f"spec is missing prime {int(p)} <= {N}")
+    stored = spec.prime_values[: bisect_right(spec.prime_values, (N, inf))]
+    keys = np.array([p for p, _ in stored], dtype=np.int64)
+    missing = np.setdiff1d(needed, keys, assume_unique=True)
+    if missing.size:
+        raise SpecificationError(f"spec is missing prime {int(missing[0])} <= {N}")
+    # stored keys are primes, so with none missing they are `needed`, in order
+    values = np.array([v for _, v in stored], dtype=float)
     vals = np.zeros(N + 1, dtype=float)
-    for p in needed:
-        vals[p::p] += spec.value(int(p))
+    small = int(np.searchsorted(needed, isqrt(N), "right"))
+    for p, v in zip(needed[:small].tolist(), values[:small].tolist()):
+        vals[p::p] += v
+    # n <= N has at most one prime factor above isqrt(N), its largest: an add
+    # per multiplier k hits no index twice, and each n gets its large prime
+    # last, so every sum is taken in increasing prime order as by the slices
+    large, large_values = needed[small:], values[small:]
+    ks = np.arange(1, N // (isqrt(N) + 1) + 1)
+    for k, c in zip(ks.tolist(), np.searchsorted(large, N // ks, "right").tolist()):
+        vals[k * large[:c]] += large_values[:c]
     return SequenceWindow(vals[1:])
 
 

@@ -16,10 +16,10 @@ import numpy as np
 
 from measeq.density import APSet, CoverCertificate, MeasurabilityReport
 from measeq.dist import _default_grid
-from measeq.errors import DiagnosticError, GateError
+from measeq.errors import DiagnosticError, GateError, SpecificationError
 from measeq.experiments import INDEP_THRESHOLD
 from measeq.polyadic import extend_eval, sample_omega
-from measeq.primes import is_prime
+from measeq.primes import is_prime, primes_upto
 
 
 def mean_oracle(vals):
@@ -310,6 +310,19 @@ def additive_spec_oracle(items):
                 return f"duplicate prime value {v}"
             seen_nonzero.add(v)
     return pairs
+
+
+def gen_additive_oracle(N, spec):
+    # check that the spec holds every prime up to N, then one slice add per prime
+    needed = primes_upto(N)
+    stored = {p for p, _ in spec.prime_values}
+    for p in needed:
+        if int(p) not in stored:
+            raise SpecificationError(f"spec is missing prime {int(p)} <= {N}")
+    vals = np.zeros(N + 1, dtype=float)
+    for p in needed:
+        vals[p::p] += spec.value(int(p))
+    return vals[1:]
 
 
 def metric_ud_trace_oracle(family, n_alphas, seed, N_terms, h_max, eval_eps):

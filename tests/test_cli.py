@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -251,22 +251,42 @@ def csv_series(draw):
     return ",".join(f"c{i}" for i in range(width)), rows
 
 
+def _csv_oracle_text(header, rows) -> str:
+    return "\n".join(oracles.csv_lines_oracle(header, rows)) + "\n"
+
+
 class TestCsvSeries:
     @given(csv_series())
     @settings(max_examples=300)
     def test_columns_give_the_per_row_bytes(self, series):
         header, rows = series
-        text = "\n".join(cli._csv_lines((header, list(zip(*rows))))) + "\n"
-        assert text.encode() == ("\n".join(oracles.csv_lines_oracle(header, rows)) + "\n").encode()
+        text = cli._csv_text((header, list(zip(*rows))))
+        assert text.encode() == _csv_oracle_text(header, rows).encode()
+
+    @given(st.lists(st.lists(CSV_CELLS, max_size=12), max_size=4))
+    @example([])
+    @example([[], []])
+    @example([[1, 2], []])
+    @example([[0.1, -0.0, float("inf")]])
+    @example([range(1, 3), [1e16, float("nan"), 3.0], ("a", "b")])
+    def test_unequal_columns_stop_at_the_shortest(self, columns):
+        # zip stops at the shortest column; no column at all leaves the header only
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        text = cli._csv_text((header, columns))
+        assert text.encode() == _csv_oracle_text(header, list(zip(*columns))).encode()
 
     @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False).map(lambda x: round(x, 1)), min_size=1,
                     max_size=80))
+    # atoms at +inf or at -inf (not both: that window has no mean), repeated values
+    @example([float("inf"), 0.5, 0.5, float("inf"), 0.25])
+    @example([float("-inf"), float("-inf"), 2.0, -0.0, 0.0])
+    @example([1.5, 1.5, 1.5])
     def test_edf_series_bytes_equal_the_per_breakpoint_oracle(self, values):
         v = SimpleNamespace(seq=PeriodicTable(values), n=len(values))
         _, series = cli._run_edf(v, None)
         F = edf(v.seq.window(v.n))
         want = oracles.csv_lines_oracle(series[0], oracles.edf_series_oracle(F))
-        assert cli._csv_lines(series) == want
+        assert cli._csv_text(series) == "\n".join(want) + "\n"
 
 
 class TestExitCodes:
@@ -414,6 +434,9 @@ class TestExitCodes:
          "sums of window values overflow or meet +inf and -inf: no mean"),
         (["gen", "--spec", '{"kind":"periodic","values":[Infinity,0,-Infinity]}', "--n", "30"],
          "sums of window values overflow or meet +inf and -inf: no mean"),
+        # residues mod a witness past 2**63 - 1 do not fit the int64 index arrays
+        (["exp", "metric-ud", "--config", '{"bases":[10000000000000000000],"n_alphas":2}'],
+         "witness modulus 10000000000000000000 for eps=0.001 exceeds 2**63 - 1"),
         # the (0, p) progressions of the first 18 primes meet in all 2^18 - 1 > 200000 subsets
         (["density", "--pred", json.dumps({"ap": [{"r": 0, "m": p} for p in
           (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]})],
@@ -441,6 +464,11 @@ class TestExitCodes:
     ])
     def test_gen_and_conv_of_infinite_values_run(self, capsys, argv):
         assert main(argv) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_metric_ud_base_below_int64_runs(self, capsys):
+        config = '{"bases":[9223372036854775783],"n_alphas":2}'
+        assert main(["exp", "metric-ud", "--config", config]) == 0
 
     @pytest.mark.parametrize(
         "argv",

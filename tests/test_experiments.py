@@ -2,6 +2,7 @@
 match direct-count oracles, and reports must be bit-reproducible."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestMetricUd:
 
     @given(
         st.sampled_from([[3, 5, 7], [2, 3, 5, 7, 11], [5, 7], [2, 9, 25, 7], [11, 3, 5, 7],
-                         [13, 3]]),
+                         [13, 3], [4, 9, 25]]),
         st.sampled_from([None, 1, 2, 3, 4]),
         st.integers(1, 3),
         st.integers(1, 6),
@@ -234,6 +235,34 @@ class TestMetricUd:
                 metric_ud_experiment(family(), **args)
             return
         assert metric_ud_experiment(family(), **args).trace == want
+
+    def test_trace_of_a_200_member_family_equals_per_point_extend_eval(self):
+        args = dict(n_alphas=6, seed=424242, h_max=3, eval_eps=1e-3)
+        want = oracles.metric_ud_trace_oracle(vdc_family_primes(200), N_terms=200, **args)
+        assert metric_ud_experiment(vdc_family_primes(200), **args).trace == want
+
+    @pytest.mark.parametrize("bases, pair", [
+        ([2, 4], (2, 4)),
+        ([3, 5, 9, 7], (3, 9)),
+        # the first pair in (i, j) order, not the first j to share a factor
+        ([6, 5, 35, 10], (6, 10)),
+    ])
+    def test_coprimality_gate_names_the_first_pair(self, bases, pair):
+        message = f"^bases {pair[0]} and {pair[1]} share a factor; family is not pairwise independent$"
+        with pytest.raises(GateError, match=message):
+            metric_ud_experiment(vdc_family(bases), n_alphas=2, seed=1)
+
+    def test_witness_past_int64_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(random, "Random", lambda *a: pytest.fail("a point was drawn"))
+        message = r"^witness modulus 10000000000000000000 for eps=0.001 exceeds 2\*\*63 - 1$"
+        with pytest.raises(ResolutionError, match=message):
+            metric_ud_experiment(vdc_family([3, 10**19]), n_alphas=2, seed=1)
+
+    def test_witness_just_below_int64_runs(self):
+        rep = metric_ud_experiment(vdc_family([9223372036854775783]), n_alphas=2, seed=1)
+        assert rep.trace == oracles.metric_ud_trace_oracle(
+            vdc_family([9223372036854775783]), n_alphas=2, seed=1, N_terms=1, h_max=3,
+            eval_eps=1e-3)
 
     def test_factorial_member_without_a_dividing_level(self):
         # witness 5040 = 7! needs the factor 7, which the ladder of 2 * 3 * 5 lacks

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from measeq import seqgen
+from measeq import primes, seqgen
 from measeq.cli import parse_sequence_spec
 from measeq.density import APSet
 from measeq.errors import (
@@ -230,6 +230,66 @@ class TestAdditive:
         for n in range(1, 2000 + 1, 37):
             expected = sum(4.0**-p for p in trial_division_factors(n))
             assert w.value(n) == pytest.approx(expected, abs=1e-15)
+
+    @given(
+        st.one_of(
+            st.integers(1, 3000),
+            # around the square of a prime, where a prime joins the slice adds
+            st.tuples(st.sampled_from([2, 3, 5, 7, 11, 23, 47, 53]), st.integers(-1, 1))
+            .map(lambda t: t[0] ** 2 + t[1]),
+        ),
+        st.one_of(
+            # 2^-p and 4^-p underflow to 0 for the larger primes
+            st.sampled_from([1.01, 1.5, 2.0, 4.0]).map(lambda b: lambda p: b**-p),
+            st.sampled_from([0.5, 1.5, 2.0, 3.0]).map(lambda e: lambda p: float(p) ** -e),
+        ),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sieve_bytes_equal_the_per_prime_slice_loop(self, N, fn, drop):
+        # `drop` removes the spec's value of its (drop)th-largest prime, if it has one
+        spec = AdditiveFunctionSpec.from_function(fn, N)
+        if drop and len(spec.prime_values) >= drop:
+            pairs = list(spec.prime_values)
+            del pairs[-drop]
+            spec = AdditiveFunctionSpec(pairs, spec.tail_bound)
+        try:
+            want = oracles.gen_additive_oracle(N, spec)
+        except SpecificationError as e:
+            with pytest.raises(SpecificationError, match=f"^{e}$"):
+                gen_additive(N, spec)
+            return
+        assert gen_additive(N, spec).values.tobytes() == want.tobytes()
+
+    def test_missing_prime_names_the_smallest(self):
+        spec = AdditiveFunctionSpec({2: 0.25, 7: 0.125, 13: 0.0625}, 0.0)
+        with pytest.raises(SpecificationError, match=r"^spec is missing prime 3 <= 20$"):
+            gen_additive(20, spec)
+
+    def test_from_function_sieves_once(self):
+        sieve = mock.Mock(wraps=primes.prime_mask)
+        with mock.patch.object(primes, "prime_mask", sieve), \
+                mock.patch.object(seqgen, "prime_mask", sieve):
+            spec = AdditiveFunctionSpec.from_function(lambda p: 2.0**-p, 1000)
+        assert [c.args for c in sieve.call_args_list] == [(1000,)]
+        assert spec == AdditiveFunctionSpec({p: 2.0**-p for p, _ in spec.prime_values},
+                                            spec.tail_bound)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 0.25, 1e-9, -0.1, float("nan"), 3]),
+                    min_size=1, max_size=15))
+    def test_from_function_checks_values_as_the_constructor(self, table):
+        # fn reads the primes up to 47 off the table in order, 0.0 past its end
+        ps = primes.primes_upto(47).tolist()
+        fn = dict(zip(ps, table)).get
+
+        def outcome(make):
+            try:
+                return make().prime_values
+            except (SpecificationError, ValueError) as e:
+                return type(e), str(e)
+
+        got = outcome(lambda: AdditiveFunctionSpec.from_function(lambda p: fn(p, 0.0), 47, 0.0))
+        assert got == outcome(lambda: AdditiveFunctionSpec({p: fn(p, 0.0) for p in ps}, 0.0))
 
     def test_congruence_bound_exact_tail(self):
         # classes mod N! keep values within twice the exact tail beyond N
