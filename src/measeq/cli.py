@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal
 from functools import cache
 from fractions import Fraction
-from math import isinf, isnan
+from math import isfinite, isinf, isnan
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, get_type_hints
@@ -714,8 +714,27 @@ def _csv_text(series) -> str:
     return f"{header}\n" + (",".join(["%s"] * k) + "\n") * n % tuple(cells)
 
 
+def _non_finite(obj, path: str = "") -> str | None:
+    """The key path and value of the first float, in report order, that JSON
+    cannot hold (NaN or +-inf), or None."""
+    if isinstance(obj, float):
+        return None if isfinite(obj) else f"{path} is {obj}"
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, at) for at, v in items)), None)
+
+
 def _emit(cfg: RunConfig, output: dict, series) -> None:
-    text = json.dumps(output, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(output, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError(
+            f"{_non_finite(output)}: a JSON report holds no NaN or Infinity"
+        ) from None
     if cfg.out:
         path = Path(cfg.out)
         try:

@@ -31,19 +31,26 @@ class EDF:
     cum[j] is the total mass at breakpoints up to and including x_j, so
     F(x) = cum[#breakpoints < x] with F(x) = 0 left of x_1.  `padded` is cum
     behind a leading 0, so a searchsorted index reads F directly.
+
+    A float breakpoint array that owns its data and is read-only is kept as
+    it is, not copied: whoever built it hands it over and must not make it
+    writable again.  Any other breakpoints, and every cum, are copied.
     """
 
     breakpoints: np.ndarray
     cum: np.ndarray
 
     def __init__(self, breakpoints, cum):
-        bp = np.asarray(breakpoints, dtype=float).copy()
+        bp = np.asarray(breakpoints, dtype=float)
+        if bp.flags.writeable or not bp.flags.owndata:
+            bp = bp.copy()
         cm = np.asarray(cum, dtype=float)
         if bp.ndim != 1 or bp.size < 1 or bp.size != cm.size:
             raise ValueError("breakpoints and cum must be equal-length 1-d arrays")
-        if not (np.diff(bp) > 0).all():
+        # for floats the same tests as np.diff(bp) > 0 and np.diff(cm) < 0, without the diffs
+        if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        if (np.diff(cm) < 0).any() or abs(cm[-1] - 1.0) > 1e-9:
+        if (cm[1:] < cm[:-1]).any() or abs(cm[-1] - 1.0) > 1e-9:
             raise ValueError("cum must be nondecreasing with final mass 1")
         padded = np.concatenate(([0.0], cm))
         bp.setflags(write=False)
@@ -56,6 +63,7 @@ class EDF:
     def from_values(cls, values) -> "EDF":
         vals = np.asarray(values, dtype=float)
         bp, counts = np.unique(vals, return_counts=True)
+        bp.setflags(write=False)
         return cls(bp, np.cumsum(counts) / vals.size)
 
     @classmethod
@@ -64,7 +72,7 @@ class EDF:
 
     @property
     def jumps(self) -> np.ndarray:
-        return np.diff(self.cum, prepend=0.0)
+        return np.diff(self.padded)
 
     def __call__(self, x) -> float | np.ndarray:
         """Mass strictly below x."""
@@ -82,7 +90,9 @@ class EDF:
         lo, hi = self.breakpoints[[0, -1]].tolist()
         if isnan(lo + hi):
             raise DomainError("atoms at +inf and at -inf have no mean")
-        return float(np.sum(self.breakpoints * self.jumps))
+        terms = self.jumps
+        terms *= self.breakpoints
+        return float(np.sum(terms))
 
 
 def edf(w: SequenceWindow) -> EDF:
@@ -94,7 +104,9 @@ def uniform_edf(n: int) -> EDF:
     """The n-point grid distribution with atoms at i/n, i = 0..n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return EDF(np.arange(n) / n, np.arange(1, n + 1) / n)
+    bp = np.arange(n) / n
+    bp.setflags(write=False)
+    return EDF(bp, np.arange(1, n + 1) / n)
 
 
 @dataclass
@@ -362,7 +374,7 @@ def region_density(
     return float(inside.mean())
 
 
-_CONV_BLOCK = 1 << 16  # pairs per row block of the sorted path
+_CONV_BLOCK = 1 << 16  # pairs per row block of the sorted path, and per chunk of the all-pairs path
 _CONV_FEW = 0.25  # largest distinct share of the first block that takes the sorted path
 
 
@@ -372,25 +384,77 @@ def _finite_ends(bp: np.ndarray) -> list[float]:
     return fin[[0, -1]].tolist() if fin.size else []
 
 
+def _all_pairs(x, y, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and masses of the float sums of all pairs at once.
+
+    One stable argsort of the row-major sums keeps tied sums in row-major
+    pair order; a value sort in place gives the atoms; then, chunk by chunk
+    in sorted order, `np.add.at` adds each pair's mass at its atom's rank, a
+    running count of new values.  So each atom adds its masses in row-major
+    order from 0.0, as one `bincount` over all pairs would.  Memory peaks at
+    about 21 bytes a pair: the sums and their int64 argsort with its merge
+    buffer or int32 copy while the order is made, then the int32 order, one
+    flag a pair, and the atoms with either the sums or the masses.
+    """
+    j2 = y.size
+    sums = np.add.outer(x, y).ravel()
+    index = np.int32 if sums.size <= np.iinfo(np.int32).max else np.int64
+    order = np.argsort(sums, kind="stable").astype(index, copy=False)
+    sums.sort()
+    new = np.empty(sums.size, dtype=bool)  # new[k]: sorted sum k starts an atom
+    new[0] = True
+    np.not_equal(sums[1:], sums[:-1], out=new[1:])
+    bp = sums[new]
+    del sums
+    mass = np.zeros(bp.size)
+    last = -1
+    for a in range(0, order.size, _CONV_BLOCK):
+        i, j = np.divmod(order[a : a + _CONV_BLOCK], j2)
+        w = p[i]
+        w *= q[j]  # the same product as p[i] * q[j], in place
+        del i, j
+        rank = np.cumsum(new[a : a + _CONV_BLOCK], dtype=np.intp)
+        rank += last
+        last = rank[-1]
+        # add.at adds in index order, as bincount does: the same bits
+        np.add.at(mass, rank, w)
+        del w, rank  # before the next chunk's are made
+    return bp, mass
+
+
+def _sign_zero_atom(bp: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Give an atom at 0 the sign of the sum of its first pair in row-major
+    order.  A float sum is zero only when y = -x, so each row has at most one
+    zero pair, found by a search of -x in y."""
+    z = bp.searchsorted(0.0)
+    if z < bp.size and bp[z] == 0.0:
+        j = np.minimum(y.searchsorted(-x), y.size - 1)
+        i = (y[j] == -x).argmax()
+        bp[z] = x[i] + y[j[i]]
+
+
 def convolve_edf(F: EDF, F1: EDF, max_atoms: int = 4_000_000) -> EDF:
     """Distribution of the float sums of two independent step distributions.
 
     Every pair of breakpoints gives the float sum x + y with the product of
     their masses.  Pairs whose float sums are equal share one atom, whose
     mass adds the products in row-major pair order; sums that are equal as
-    reals but round to different floats stay apart.  The caller must
-    pre-coarsen inputs whose atom product exceeds `max_atoms`.  An atom at
-    +inf in one factor and at -inf in the other has no sum, and finite atoms
-    whose sum overflows have no float sum (both DomainError); breakpoints
-    are sorted, so only the end atoms can meet or overflow that way.
+    reals but round to different floats stay apart, and +0.0 and -0.0 share
+    one atom, which keeps the sign of its first pair's sum in row-major
+    order.  The caller must pre-coarsen inputs whose atom product exceeds
+    `max_atoms`.  An atom at +inf in one factor and at -inf in the other has
+    no sum, and finite atoms whose sum overflows have no float sum (both
+    DomainError); breakpoints are sorted, so only the end atoms can meet or
+    overflow that way.
 
     The first row block of about `_CONV_BLOCK` pairs picks the path, which
     changes the time taken, never the result.  Few distinct sums: the atoms
     come from a value sort of each block's sums and each block's masses are
     added at their atoms' ranks, so memory is a few arrays of one block
-    (about 0.5 MB each) plus the atoms.  Mostly distinct sums: one
-    `np.unique` over all pairs at once, about 56 bytes a pair (220 MB at
-    2000 x 2000).
+    (about 0.5 MB each) plus the atoms.  Mostly distinct sums: all pairs are
+    sorted at once (`_all_pairs`), about 21 bytes a pair at the peak (84 MB
+    at 2000 x 2000); the atoms and their cumulative masses then take 16
+    bytes an atom, and 24 while the EDF makes its padded copy.
     """
     j1, j2 = F.breakpoints.size, F1.breakpoints.size
     if j1 * j2 > max_atoms:
@@ -403,11 +467,10 @@ def convolve_edf(F: EDF, F1: EDF, max_atoms: int = 4_000_000) -> EDF:
         raise DomainError("sums of finite atoms overflow: no convolution")
     x, y, p, q = F.breakpoints, F1.breakpoints, F.jumps, F1.jumps
     rows = max(1, _CONV_BLOCK // j2)
-    block = np.add.outer(x[:rows], y)
-    first = np.unique(block)
-    if first.size > _CONV_FEW * block.size:
-        bp, inverse = np.unique(np.add.outer(x, y).ravel(), return_inverse=True)
-        mass = np.bincount(inverse, weights=np.multiply.outer(p, q).ravel(), minlength=bp.size)
+    first = np.unique(np.add.outer(x[:rows], y))
+    if first.size > _CONV_FEW * min(rows, j1) * j2:
+        del first
+        bp, mass = _all_pairs(x, y, p, q)
     else:
         starts = range(0, j1, rows)
         parts = [first] + [np.unique(np.add.outer(x[i : i + rows], y)) for i in starts[1:]]
@@ -417,8 +480,11 @@ def convolve_edf(F: EDF, F1: EDF, max_atoms: int = 4_000_000) -> EDF:
             # add.at adds in index order, as bincount does: the same bits
             at = np.searchsorted(bp, np.add.outer(x[i : i + rows], y).ravel())
             np.add.at(mass, at, np.multiply.outer(p[i : i + rows], q).ravel())
-    cum = np.minimum(np.cumsum(mass), 1.0)
+    _sign_zero_atom(bp, x, y)
+    cum = np.cumsum(mass, out=mass)
+    np.minimum(cum, 1.0, out=cum)
     cum[-1] = 1.0  # pin the total against accumulated roundoff
+    bp.setflags(write=False)
     return EDF(bp, cum)
 
 

@@ -325,6 +325,25 @@ def _residues(digits: list[list[int]], k: int, step: int, m: int) -> list[int]:
     return rs
 
 
+_RESIDUE_GROUP = 32  # members whose witnesses' product reduces each digit once
+
+
+def _member_residues(digits: list[list[int]], moduli: list[tuple[int, int]],
+                     product: int) -> list[list[int]]:
+    """`_residues` for each (witness m, level k) in `moduli`, digit j of a
+    point counting product**j.  Each digit is first reduced once modulo the
+    product M of a group of `_RESIDUE_GROUP` witnesses; every m of the group
+    divides M, so (d mod M) mod m = d mod m and the residues are exact."""
+    out = []
+    for g in range(0, len(moduli), _RESIDUE_GROUP):
+        group = moduli[g : g + _RESIDUE_GROUP]
+        big = math.prod(m for m, _ in group)
+        top = max(k for _, k in group) + 1
+        reduced = [[d % big for d in ds[:top]] for ds in digits]
+        out += [_residues(reduced, k, product % m, m) for m, k in group]
+    return out
+
+
 def metric_ud_experiment(
     family,
     n_alphas: int,
@@ -374,9 +393,9 @@ def metric_ud_experiment(
     rngs = (random.Random(seed * 1_000_003 + i) for i in range(n_alphas))
     digits = [[rng.randrange(product) for _ in range(count)] for rng in rngs]
     # each term is `extend_eval(h, alpha, eval_eps)`: h at the residue mod its witness
-    for t, (h, m, k) in enumerate(members):
-        residues = _residues(digits, k, product % m, m)
-        terms[:, t] = h.values_at(np.array(residues, dtype=np.int64))
+    residues = _member_residues(digits, [(m, k) for _, m, k in members], product)
+    for t, ((h, _, _), rs) in enumerate(zip(members, residues)):
+        terms[:, t] = h.values_at(np.array(rs, dtype=np.int64))
     per_alpha = []
     for vals in terms:
         worst = max(

@@ -151,6 +151,18 @@ def convolve_oracle(breaks1, jumps1, breaks2, jumps2):
     return xs, [atoms[x] for x in xs]
 
 
+def edf_order_oracle(breakpoints, cum):
+    # EDF's order checks in their np.diff form: the message of the first that
+    # fails, or None
+    bp, cm = np.asarray(breakpoints, dtype=float), np.asarray(cum, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        if not (np.diff(bp) > 0).all():
+            return "breakpoints must be strictly increasing"
+        if (np.diff(cm) < 0).any() or abs(cm[-1] - 1.0) > 1e-9:
+            return "cum must be nondecreasing with final mass 1"
+    return None
+
+
 def convolve_unique_oracle(F, F1):
     # all pairwise sums and product masses at once; bincount adds each atom's
     # masses in row-major pair order
@@ -323,6 +335,11 @@ def gen_additive_oracle(N, spec):
     for p in needed:
         vals[p::p] += spec.value(int(p))
     return vals[1:]
+
+
+def level_residues_oracle(digits, k, P, m):
+    # each point's residue at level k from its full integer sum d_j * P**j
+    return [sum(d * P**j for j, d in enumerate(ds[: k + 1])) % m for ds in digits]
 
 
 def metric_ud_trace_oracle(family, n_alphas, seed, N_terms, h_max, eval_eps):

@@ -451,19 +451,32 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_edf_of_infinite_values_runs(self, capsys):
-        argv = ["dist", "edf", "--seq", '{"kind":"periodic","values":[1,Infinity,0]}', "--n", "30"]
-        assert main(argv) == 0
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("argv", [
-        ["gen", "--spec", '{"kind":"periodic","values":[1,Infinity,0]}', "--n", "30"],
+    @pytest.mark.parametrize("argv, field", [
+        (["dist", "edf", "--seq", '{"kind":"periodic","values":[1,Infinity,0]}', "--n", "30"],
+         "config.params.seq.values[1] is inf"),
+        (["gen", "--spec", '{"kind":"periodic","values":[1,Infinity,0]}', "--n", "30"],
+         "config.params.spec.values[1] is inf"),
         # finite atoms whose sums stay finite, beside atoms at +inf
-        ["dist", "conv", "--seq", '{"kind":"periodic","values":[Infinity,1e308]}',
-         "--seq2", '{"kind":"periodic","values":[Infinity,2]}', "--n", "4"],
+        (["dist", "conv", "--seq", '{"kind":"periodic","values":[Infinity,1e308]}',
+          "--seq2", '{"kind":"periodic","values":[Infinity,2]}', "--n", "4"],
+         "config.params.seqs[0].values[0] is inf"),
+        (["--tolerance", "nan", "dist", "moments", "--seq", '{"kind":"vdc"}', "--n", "30"],
+         "config.tolerance is nan"),
     ])
-    def test_gen_and_conv_of_infinite_values_run(self, capsys, argv):
-        assert main(argv) == 0
+    def test_report_holding_nan_or_infinity_is_refused(self, tmp_path, capsys, argv, field):
+        # the runs themselves succeed, but strict JSON (RFC 8259) holds no NaN or
+        # Infinity, so neither the echoed config nor the report could be read back
+        out = tmp_path / "run.json"
+        assert main(["--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"run refused: {field}: a JSON report holds no NaN or Infinity"
+        ]
+        assert not out.exists()
+
+    def test_non_finite_report_field_is_named(self):
+        report = {"b": [1.0, {"c": float("-inf")}], "a": 2, "z": float("nan")}
+        assert cli._non_finite({"report": report}) == "report.b[1].c is -inf"
+        assert cli._non_finite({"report": {"a": [0.5, "x", None, True]}}) is None
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_metric_ud_base_below_int64_runs(self, capsys):
@@ -818,26 +831,42 @@ def fuzz_config(draw):
     return config
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, as RFC 8259 does."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestFuzz:
     @given(fuzz_argv())
     @settings(max_examples=300, deadline=None)
     def test_main_exits_zero_one_or_two(self, argv):
+        stdout = io.StringIO()
         try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
                 status = main(argv)
         except SystemExit as e:  # argparse's own usage errors
             status = e.code
         assert status in (0, 1, 2), argv
+        if status == 0 and argv[3] == "json":  # argv[2:4] is --format
+            _strict_json(stdout.getvalue())
 
     @given(fuzz_config())
     @settings(max_examples=300, deadline=None)
+    # a run that computes, with a NaN tolerance for the config echo
+    @example({"command": "gen", "verb": None, "params": {"spec": {"kind": "vdc"}, "n": 10},
+              "seed": 0, "fmt": "json", "tolerance": float("nan")})
     def test_run_returns_or_refuses(self, config):
+        stdout = io.StringIO()
         try:
-            with redirect_stdout(io.StringIO()):
-                status, _ = cli.run(cli.RunConfig.from_dict(config))
+            with redirect_stdout(stdout):
+                status, output = cli.run(cli.RunConfig.from_dict(config))
         except MeaseqError:
             return
         assert status == 0
+        if config["fmt"] == "json":
+            assert _strict_json(stdout.getvalue()) == output
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -1,10 +1,11 @@
 """Distribution and statistics tests, cross-checked against brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -111,6 +112,45 @@ class TestEdf:
         assert F(np.array(xs, dtype=float)).tolist() == [oracles.edf_oracle(vals, x) for x in xs]
         upto = [sum(1 for v in vals if v <= x) / len(vals) for x in xs]
         assert F.mass_upto(np.array(xs, dtype=float)).tolist() == upto
+
+
+    # ±0.0, ±inf, NaN and equal neighbours, in breakpoints and in cum
+    ORDER_VALUES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 1.0, np.inf, np.nan])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(st.lists(ORDER_VALUES, min_size=1, max_size=6), st.data())
+    @example([0.0, -0.0], None)
+    @example([-np.inf, -np.inf], None)
+    @example([0.0, np.nan, 1.0], None)
+    @settings(max_examples=300)
+    def test_order_checks_raise_as_the_diff_checks(self, bp, data):
+        if data is None:  # an explicit example: cum that passes, to reach the breakpoint check
+            cm = np.linspace(1.0, len(bp), len(bp)) / len(bp)
+        else:
+            cm = data.draw(st.lists(self.ORDER_VALUES, min_size=len(bp), max_size=len(bp)))
+        want = oracles.edf_order_oracle(bp, cm)
+        if want is None:
+            EDF(bp, cm)
+        else:
+            with pytest.raises(ValueError, match=want):
+                EDF(bp, cm)
+
+    def test_read_only_breakpoints_that_own_their_data_are_kept(self):
+        bp, cum = np.array([0.0, 0.5, 2.0]), np.array([0.25, 0.5, 1.0])
+        copied = EDF(bp, cum).breakpoints
+        assert copied is not bp and not copied.flags.writeable
+        bp.setflags(write=False)
+        assert EDF(bp, cum).breakpoints is bp
+        view = bp[1:]  # read-only, but not its data's owner
+        assert EDF(view, cum[1:]).breakpoints is not view
+        assert not np.shares_memory(EDF(bp, cum).cum, cum)
+
+    @given(st.one_of(windows, coarse_windows))
+    def test_jumps_and_mean_keep_their_bits(self, w):
+        F = edf(w)
+        jumps = np.diff(F.cum, prepend=0.0)
+        assert F.jumps.tobytes() == jumps.tobytes()
+        assert F.mean() == float(np.sum(F.breakpoints * jumps))
 
 
 class TestMoments:
@@ -479,24 +519,33 @@ class TestConvolution:
         assert got.cum.tobytes() == cum.tobytes()
 
     # (F, F1, path): the sorted path ranks each block's sums with searchsorted,
-    # the unique path counts all sums with bincount
+    # the all-pairs path orders all sums with one stable argsort
     CASES = {
-        "uniform 1": (lambda: (uniform_edf(1), uniform_edf(1)), "unique"),
+        "uniform 1": (lambda: (uniform_edf(1), uniform_edf(1)), "all pairs"),
         "uniform 50 x 300": (lambda: (uniform_edf(50), uniform_edf(300)), "sorted"),
         # 218 rows a block: the second block holds the last 82 rows
         "uniform 300": (lambda: (uniform_edf(300), uniform_edf(300)), "sorted"),
         "vdc 3 x 3": (lambda: (edf(vdc_window(3, 400)), edf(vdc_window(3, 250))), "sorted"),
-        "vdc 2 x 3": (lambda: (edf(vdc_window(2, 300)), edf(vdc_window(3, 200))), "unique"),
+        "vdc 2 x 3": (lambda: (edf(vdc_window(2, 300)), edf(vdc_window(3, 200))), "all pairs"),
         "inf atoms, sorted": (lambda: (EDF.from_values([-np.inf, *np.arange(40) / 8, np.inf]),
                                        uniform_edf(64)), "sorted"),
-        "inf atoms, unique": (lambda: (EDF.from_values([-np.inf, 0.1, np.inf]),
-                                       edf(vdc_window(3, 50))), "unique"),
+        "inf atoms, all pairs": (lambda: (EDF.from_values([-np.inf, 0.1, np.inf]),
+                                          edf(vdc_window(3, 50))), "all pairs"),
         # one row longer than a block: 1, 2 and 3 plus steps below half an ulp
         # of 1 round to the integer, so each atom adds 65,636 masses in order
         "row past the block": (lambda: (EDF.from_values([1.0, 2.0, 3.0]),
                                         EDF(np.arange(_CONV_BLOCK + 100) * 2.0**-70,
                                             np.arange(1, _CONV_BLOCK + 101) / (_CONV_BLOCK + 100))),
                                "sorted"),
+        # mostly distinct sums, but the atoms k/8 of both factors meet in 31
+        # sums of up to 16 random masses, whose float sum hangs on their order
+        "ties of unequal masses": (lambda: _dyadic_ties(5), "all pairs"),
+        "more ties of unequal masses": (lambda: _dyadic_ties(9), "all pairs"),
+        # row 0 is 40,000 distinct sums; rows 1 and 2 round to 1.0 and 2.0, so
+        # the run of 1.0 (sorted places 40,000 to 79,999) holds the first chunk end
+        "tie run across a chunk end": (lambda: (EDF.from_values([0.0, 1.0, 1.0, 2.0]),
+                                                _unequal_masses(np.arange(40_000) * 2.0**-70)),
+                                       "all pairs"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -505,16 +554,71 @@ class TestConvolution:
         F, G = make()
         bp, cum = oracles.convolve_unique_oracle(F, G)
         called = set()
-        for name in ("searchsorted", "bincount"):
+        for name in ("searchsorted", "argsort"):
             def spy(*args, _name=name, _real=getattr(np, name), **kwargs):
                 called.add(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np, name, spy)
         got = convolve_edf(F, G)
         monkeypatch.undo()
-        assert called == {"searchsorted" if path == "sorted" else "bincount"}
+        assert called == {"searchsorted" if path == "sorted" else "argsort"}
         assert got.breakpoints.tobytes() == bp.tobytes()
         assert got.cum.tobytes() == cum.tobytes()
+
+    # +0.0 and -0.0 share one atom, which keeps the sign of the sum of its first
+    # pair in row-major order: -0.0 + -0.0 is -0.0, and x + -x (x != 0) is +0.0
+    @pytest.mark.parametrize("a, b, sign", [
+        ([-0.0, 1.0], [-0.0, -1.0], -1.0),  # (-0.0, -0.0) comes first
+        ([-1.0, -0.0], [-0.0, 1.0], 1.0),  # (-1.0, 1.0) comes first
+        ([-0.0, *np.arange(1, 17) / 8], [-0.0, *np.arange(-16, 0) / 8], -1.0),
+        ([*np.arange(-16, 0) / 8, -0.0], [-0.0, *np.arange(1, 17) / 8], 1.0),
+        ([-0.0, 0.3, 0.7], [-0.0, -0.7, -0.3], -1.0),
+    ])
+    def test_signed_zero_sums_keep_the_first_pairs_zero(self, a, b, sign):
+        # the first two and the last make the all-pairs path (most sums distinct),
+        # the dyadic rows the sorted one; the dict oracle keeps each atom's first key
+        F, G = EDF.from_values(a), EDF.from_values(b)
+        got = convolve_edf(F, G)
+        xs, ms = oracles.convolve_oracle(
+            F.breakpoints.tolist(), F.jumps.tolist(), G.breakpoints.tolist(), G.jumps.tolist(),
+        )
+        assert got.breakpoints.tobytes() == np.array(xs).tobytes()
+        zero = got.breakpoints[got.breakpoints == 0.0]
+        assert zero.size == 1 and math.copysign(1.0, zero[0]) == sign
+
+    def test_all_pairs_memory_per_pair(self):
+        F, G = edf(vdc_window(3, 600)), edf(vdc_window(7, 600))
+        convolve_edf(edf(vdc_window(3, 60)), edf(vdc_window(7, 60)))  # first-call imports
+        tracemalloc.start()
+        try:
+            got = convolve_edf(F, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.breakpoints.size == 600 * 600  # coprime bases: every sum distinct
+        # an int64 inverse and the pair masses held beside the sums take about 60
+        assert peak <= 28 * 600 * 600
+
+
+def _unequal_masses(bp: np.ndarray) -> EDF:
+    """Breakpoints `bp` with masses proportional to 1, 2, ..., 7, 1, 2, ..."""
+    weights = np.arange(bp.size) % 7 + 1.0
+    return EDF(bp, np.cumsum(weights) / weights.sum())
+
+
+def _dyadic_ties(seed: int) -> tuple[EDF, EDF]:
+    """Two factors with atoms k/8 (k < 16) and random atoms in [2, 3).
+
+    The k/8 hold the lowest sums and most of the mass, so the order in which
+    a tied atom adds its masses shows in the bits of `cum`."""
+    rng = np.random.default_rng(seed)
+
+    def factor(n_random):
+        bp = np.concatenate([np.arange(16) / 8, np.unique(2 + rng.random(n_random))])
+        weights = rng.random(bp.size)
+        weights[:16] += 100
+        return EDF(bp, np.minimum(np.cumsum(weights) / weights.sum(), 1.0))
+    return factor(200), factor(150)
 
 
 class TestSupNorm:

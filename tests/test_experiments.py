@@ -19,6 +19,8 @@ from measeq.errors import (
     ResolutionError,
 )
 from measeq.experiments import (
+    _RESIDUE_GROUP,
+    _member_residues,
     _pairwise_independence_gate,
     clt_experiment,
     composed_independence_check,
@@ -235,6 +237,20 @@ class TestMetricUd:
                 metric_ud_experiment(family(), **args)
             return
         assert metric_ud_experiment(family(), **args).trace == want
+
+    @given(st.integers(2, 2**300), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_residues_equal_the_full_sums(self, P, data):
+        # more members than one group, witnesses up to 2**63 - 1, repeated witnesses
+        count = data.draw(st.integers(1, 4))
+        digits = data.draw(st.lists(st.lists(st.integers(0, P - 1), min_size=count,
+                                             max_size=count), min_size=1, max_size=4))
+        moduli = data.draw(st.lists(
+            st.tuples(st.one_of(st.integers(1, 50), st.integers(1, 2**63 - 1)),
+                      st.integers(0, count - 1)),
+            min_size=1, max_size=2 * _RESIDUE_GROUP + 3))
+        want = [oracles.level_residues_oracle(digits, k, P, m) for m, k in moduli]
+        assert _member_residues(digits, moduli, P) == want
 
     def test_trace_of_a_200_member_family_equals_per_point_extend_eval(self):
         args = dict(n_alphas=6, seed=424242, h_max=3, eval_eps=1e-3)
