@@ -64,9 +64,15 @@ class RunConfig:
 _FIELD_TYPES = get_type_hints(RunConfig)
 
 
+def _exact(q: Fraction) -> str:
+    """q as numerator/denominator in full: Decimal writes integers of any
+    length, where str() stops at 4300 digits."""
+    return "/".join(format(Decimal(n), "f") for n in (q.numerator, q.denominator))
+
+
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return _exact(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, np.bool_):
@@ -469,19 +475,11 @@ def _run_edf(v, cfg: RunConfig):
 
 
 def _run_moments(v, cfg: RunConfig):
-    s = di.moments(v.seq.window(v.n))
-    report = {
-        "mean": s.mean,
-        "dispersion": s.dispersion,
-        "n_used": s.n_used,
-        "stability_gap": s.stability_gap,
-    }
-    return report, None
+    return asdict(di.moments(v.seq.window(v.n))), None
 
 
 def _run_corr(v, cfg: RunConfig):
-    rho, alpha, beta = di.correlation(v.seq.window(v.n), v.seq2.window(v.n))
-    return {"rho": rho, "alpha": alpha, "beta": beta}, None
+    return di.correlation(v.seq.window(v.n), v.seq2.window(v.n))._asdict(), None
 
 
 def _run_indep(v, cfg: RunConfig):
@@ -514,8 +512,7 @@ def _run_conv(v, cfg: RunConfig):
 
 def _run_polyadic_dist(v, cfg: RunConfig):
     d = po.polyadic_distance(v.a, v.b)
-    # Decimal writes integers of any length; str() stops at 4300 digits
-    exact = "/".join(format(Decimal(n), "f") for n in (d.numerator, 1 << d.exponent))
+    exact = _exact(d)
     value = float(d)
     report = {
         "a": v.a,
@@ -545,8 +542,7 @@ def _run_integrate(v, cfg: RunConfig):
 
 
 def _run_sample(v, cfg: RunConfig):
-    pt = po.sample_omega(cfg.seed, v.levels)
-    return {"levels": list(pt.levels), "residues": list(pt.residues)}, None
+    return asdict(po.sample_omega(cfg.seed, v.levels)), None
 
 
 def _members(c) -> int | None:
@@ -570,13 +566,8 @@ def _experiment(help: str, header: str | None, keys: tuple[Param, ...], run: Cal
 
     def handler(v, cfg: RunConfig):
         rep = run(v.config, cfg)
-        report = {
-            "name": rep.name,
-            "parameters": rep.parameters,
-            "statistics": rep.statistics,
-            "passed": rep.passed,
-            "seed": rep.seed,
-        }
+        report = asdict(rep)
+        del report["trace"]
         if header is None or not rep.trace:
             return report, None
         columns = list(zip(*rep.trace)) if isinstance(rep.trace[0], tuple) else [rep.trace]

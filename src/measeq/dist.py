@@ -50,7 +50,7 @@ class EDF:
         # for floats the same tests as np.diff(bp) > 0 and np.diff(cm) < 0, without the diffs
         if not (bp[1:] > bp[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        if (cm[1:] < cm[:-1]).any() or abs(cm[-1] - 1.0) > 1e-9:
+        if (cm[1:] < cm[:-1]).any() or not abs(cm[-1] - 1.0) <= 1e-9:
             raise ValueError("cum must be nondecreasing with final mass 1")
         padded = np.concatenate(([0.0], cm))
         bp.setflags(write=False)

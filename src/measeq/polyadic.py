@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from math import isfinite
 from typing import Sequence
 
@@ -22,48 +22,19 @@ from .errors import ContinuityBudgetError, DiagnosticError, DomainError, Resolut
 from .primes import divisors
 from .seqgen import CallableSequence, PeriodicTable, SequenceWindow
 
-__all__ = [
-    "DyadicRational",
-    "OmegaPoint",
-    "ContinuityProfile",
-    "ExceptionalSet",
-    "HaarTrace",
-    "polyadic_distance",
-    "p_continuity_profile",
-    "weak_continuity_profile",
-    "periodize",
-    "period_mean",
-    "haar_integral",
-    "sample_omega",
-    "ladder_steps",
-    "extend_eval",
-    "FACTORIAL_LADDER",
-]
 
+class DyadicRational(Fraction):
+    """numerator / 2^exponent as a Fraction, normalized so the numerator is odd
+    (or zero, with exponent 0)."""
 
-@total_ordering
-@dataclass(frozen=True)
-class DyadicRational:
-    """numerator / 2^exponent, normalized so the numerator is odd (or zero)."""
-
-    numerator: int
-    exponent: int
-
-    def __init__(self, numerator: int, exponent: int = 0):
-        num, exp = int(numerator), int(exponent)
-        if exp < 0:
+    def __new__(cls, numerator: int, exponent: int = 0):
+        if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
+        return super().__new__(cls, int(numerator), 1 << int(exponent))
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
+    @property
+    def exponent(self) -> int:
+        return self.denominator.bit_length() - 1
 
     def scaled_numerator(self, exponent: int) -> int:
         """Numerator after rescaling to the given (larger) exponent."""
@@ -71,23 +42,15 @@ class DyadicRational:
             raise ValueError("cannot rescale to a smaller exponent")
         return self.numerator << (exponent - self.exponent)
 
-    def __float__(self) -> float:
-        return float(self.as_fraction())
-
-    def __lt__(self, other: "DyadicRational") -> bool:
-        e = max(self.exponent, other.exponent)
-        return self.scaled_numerator(e) < other.scaled_numerator(e)
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exponent, other.exponent)
-        return DyadicRational(self.scaled_numerator(e) + other.scaled_numerator(e), e)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exponent, other.exponent)
-        return DyadicRational(self.scaled_numerator(e) - other.scaled_numerator(e), e)
-
     def __repr__(self) -> str:
         return f"{self.numerator}/2^{self.exponent}"
+
+    def __reduce__(self):
+        """Pickle and copy rebuild from (numerator, exponent); Fraction's own
+        copies pass the denominator where this class takes the exponent."""
+        return type(self), (self.numerator, self.exponent)
+
+    __copy__ = __deepcopy__ = None  # copy through __reduce__ as well
 
 
 def polyadic_distance(a: int, b: int) -> DyadicRational:

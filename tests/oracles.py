@@ -158,7 +158,7 @@ def edf_order_oracle(breakpoints, cum):
     with np.errstate(invalid="ignore"):  # inf - inf
         if not (np.diff(bp) > 0).all():
             return "breakpoints must be strictly increasing"
-        if (np.diff(cm) < 0).any() or abs(cm[-1] - 1.0) > 1e-9:
+        if (np.diff(cm) < 0).any() or not abs(cm[-1] - 1.0) <= 1e-9:
             return "cum must be nondecreasing with final mass 1"
     return None
 

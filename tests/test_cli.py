@@ -94,6 +94,22 @@ class TestDensity:
         assert out["config"]["params"]["pred"] == json.loads(pred)
         assert out["report"]["grid"][-1] == 1_000_000
 
+    def test_exact_density_past_the_str_digit_limit(self, capsys):
+        # two progressions of 4000-digit moduli: a union density of 8000 digits
+        big = 10**3999
+        pred = json.dumps({"ap": [{"r": 0, "m": 2 * big}, {"r": 1, "m": 2 * (big + 1)}]})
+        status, out = run_json(
+            capsys, ["density", "--pred", pred, "--window", "5000", "--grid", "1000,5000"]
+        )
+        assert status == 0
+        want = Fraction(1, 2 * big) + Fraction(1, 2 * (big + 1))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out["report"]["exact_density"] == f"{want.numerator}/{want.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize("window", ["3000", "6000"])
     def test_threshold_spec_without_n_reaches_grid_end_and_window(self, capsys, window):
         # the omitted n is max(grid end, --window); any smaller n is refused
@@ -163,7 +179,7 @@ class TestPolyadic:
     @settings(max_examples=40, deadline=None)
     def test_dist_bytes_equal_str_where_str_works(self, a, d):
         b = a + d
-        frac = polyadic_distance(a, b).as_fraction()
+        frac = polyadic_distance(a, b)
         report, _ = cli._run_polyadic_dist(SimpleNamespace(a=a, b=b), None)
         assert report["exact"] == f"{frac.numerator}/{frac.denominator}"
         assert report["display"] == f"{frac.numerator}/{frac.denominator} = {float(frac)}"
@@ -172,9 +188,7 @@ class TestPolyadic:
         status, out = run_json(capsys, ["polyadic", "dist", "0", "30001"])
         assert status == 0
         num, den = out["report"]["exact"].split("/")
-        assert Fraction(int(Decimal(num)), int(Decimal(den))) == polyadic_distance(
-            0, 30001
-        ).as_fraction()
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == polyadic_distance(0, 30001)
         assert out["report"]["display"] == f"{num}/{den} = {out['report']['decimal']}"
 
     def test_profile(self, capsys):
@@ -595,6 +609,45 @@ class TestRoundTrip:
         assert out.read_bytes() == first
 
 
+class TestGoldenBytes:
+    # SHA-256 of each output, recorded when each of these reports was built
+    # field by field and each exact value formatted on its own: the bytes stay
+    CASES = [
+        (["dist", "moments", "--seq", '{"kind":"vdc","chain":{"ratio":3,"levels":12}}',
+          "--n", "5000"],
+         "b6146b4b3505e040c6aec1fdbc5f446f483cc890ca96dc178dc80814e614611d"),
+        (["dist", "corr", "--seq", '{"kind":"vdc"}', "--seq2", '{"kind":"vdc","chain":{"ratio":3}}',
+          "--n", "3000"],
+         "53ccbaaf06ee31f65762d157035a913f6f85304d9759d1d0b85238f051215678"),
+        (["--seed", "11", "polyadic", "sample", "--levels", "factorial:8"],
+         "a69fef302722899c7bd93d56313de4a7b9fac4231b117f3d1597edcde4f6cc86"),
+        (["polyadic", "dist", "0", "6"],
+         "ec628180232fb000ca8c6edf30d798efbf6c42fac0dc697e98982d904362c60a"),
+        (["polyadic", "dist", "1", "30001"],
+         "5263baeb2c39ff6a397281745e05271c9aa3b6603c7944d2b1cd5c09eb981f9d"),
+        (["exp", "weaklaw", "--config", '{"primes":5,"n":4000,"k_grid":[1,5],"eps":0.2}'],
+         "4d9f8ee588015e9a1d7b18fecfe563a8605234f0e7af888c9a6aeb40b6c29fcb"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", CASES)
+    def test_stdout(self, capsys, argv, digest):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_ap_union_density_with_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the echoed --out path is part of the bytes
+        pred = '{"ap":[{"r":1,"m":6},{"r":4,"m":10},{"r":0,"m":7}]}'
+        argv = ["--out", "ap.json", "density", "--pred", pred, "--grid", "1000,5000",
+                "--window", "5000"]
+        assert main(argv) == 0
+        digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in ("ap.json", "ap.csv")}
+        assert digests == {
+            "ap.json": "a898478ffe190c7e3eac93b86e65d63ffea5ccbcff30181c8b2abdcc8c9d9ada",
+            "ap.csv": "e52269eac36af8aefc774f37de02d26dda819d406ebf83b8796dc58f44357563",
+        }
+
+
 def _config(command, verb, params, **globals_):
     return {"command": command, "verb": verb, "params": params, "seed": 0, "out": "run.json",
             "fmt": "json", "threads": 1, "tolerance": None, **globals_}
@@ -839,6 +892,7 @@ def _strict_json(text: str):
 
 
 class TestFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(fuzz_argv())
     @settings(max_examples=300, deadline=None)
     def test_main_exits_zero_one_or_two(self, argv):
@@ -852,6 +906,7 @@ class TestFuzz:
         if status == 0 and argv[3] == "json":  # argv[2:4] is --format
             _strict_json(stdout.getvalue())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(fuzz_config())
     @settings(max_examples=300, deadline=None)
     # a run that computes, with a NaN tolerance for the config echo

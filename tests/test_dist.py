@@ -122,10 +122,13 @@ class TestEdf:
     @example([0.0, -0.0], None)
     @example([-np.inf, -np.inf], None)
     @example([0.0, np.nan, 1.0], None)
+    @example([0.0, 1.0], [0.5, np.nan])  # a NaN final mass
     @settings(max_examples=300)
     def test_order_checks_raise_as_the_diff_checks(self, bp, data):
         if data is None:  # an explicit example: cum that passes, to reach the breakpoint check
             cm = np.linspace(1.0, len(bp), len(bp)) / len(bp)
+        elif isinstance(data, list):  # an explicit example's cum
+            cm = data
         else:
             cm = data.draw(st.lists(self.ORDER_VALUES, min_size=len(bp), max_size=len(bp)))
         want = oracles.edf_order_oracle(bp, cm)

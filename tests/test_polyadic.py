@@ -1,5 +1,7 @@
 """Polyadic metric, continuity profiles, Haar means and point sampling."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -47,32 +49,47 @@ def indicator(apset: APSet) -> SimpleSpec:
 
 class TestDyadicRational:
     def test_normalization(self):
+        d = DyadicRational(12, 7)  # 3/32
+        assert isinstance(d, Fraction)
+        assert (d.numerator, d.exponent, repr(d)) == (3, 5, "3/2^5")
         assert DyadicRational(4, 4) == DyadicRational(1, 2)
         assert DyadicRational(0, 7) == DyadicRational(0, 0)
+        assert repr(DyadicRational(0, 7)) == "0/2^0"
 
     def test_ordering_and_arithmetic(self):
         a, b = DyadicRational(3, 3), DyadicRational(1, 1)  # 3/8, 1/2
         assert a < b
-        assert (a + b).as_fraction() == Fraction(7, 8)
-        assert (b - a).as_fraction() == Fraction(1, 8)
+        assert a + b == Fraction(7, 8)
+        assert b - a == Fraction(1, 8)
         assert float(b) == 0.5
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            DyadicRational(1, -1)
+
+    def test_copies_and_pickles_keep_the_value(self):
+        d = DyadicRational(7, 6)
+        for e in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(e) is DyadicRational and repr(e) == "7/2^6"
 
     @given(st.integers(-4000, 4000), st.integers(0, 12))
     def test_round_trip_fraction(self, num, exp):
-        d = DyadicRational(num, exp)
-        assert d.as_fraction() == Fraction(num, 2**exp)
+        d, q = DyadicRational(num, exp), Fraction(num, 2**exp)
+        assert d == q
+        assert repr(d) == f"{q.numerator}/2^{q.denominator.bit_length() - 1}"
+        assert d.scaled_numerator(exp) == num
 
 
 class TestMetric:
     def test_examples(self):
         assert polyadic_distance(7, 7) == DyadicRational(0, 0)
-        assert polyadic_distance(0, 1).as_fraction() == Fraction(1, 2)
-        assert polyadic_distance(0, 6).as_fraction() == Fraction(7, 64)
+        assert polyadic_distance(0, 1) == Fraction(1, 2)
+        assert polyadic_distance(0, 6) == Fraction(7, 64)
 
     @given(st.integers(0, 2000), st.integers(0, 2000))
     @settings(max_examples=60)
     def test_matches_series_oracle(self, a, b):
-        exact = polyadic_distance(a, b).as_fraction()
+        exact = polyadic_distance(a, b)
         partial = series_tail_oracle(a, b)
         assert abs(exact - partial) <= Fraction(1, 2**64)
 
@@ -85,9 +102,9 @@ class TestMetric:
     @given(st.integers(0, 1200), st.integers(0, 1200), st.integers(0, 1200))
     @settings(max_examples=40)
     def test_triangle(self, a, b, c):
-        ab = polyadic_distance(a, b).as_fraction()
-        bc = polyadic_distance(b, c).as_fraction()
-        ac = polyadic_distance(a, c).as_fraction()
+        ab = polyadic_distance(a, b)
+        bc = polyadic_distance(b, c)
+        ac = polyadic_distance(a, c)
         assert ac <= ab + bc
 
     @given(st.integers(0, 800), st.integers(0, 800), st.integers(0, 500))
@@ -100,7 +117,7 @@ class TestMetric:
         f = 1
         for n in range(1, 9):
             f *= n
-            d = polyadic_distance(f, 0).as_fraction()
+            d = polyadic_distance(f, 0)
             assert d <= Fraction(2, 2**n)
             dists.append(d)
         for x, y in zip(dists, dists[1:]):
