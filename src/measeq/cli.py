@@ -65,9 +65,8 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _exact(q: Fraction) -> str:
-    """q as numerator/denominator in full: Decimal writes integers of any
-    length, where str() stops at 4300 digits."""
-    return "/".join(format(Decimal(n), "f") for n in (q.numerator, q.denominator))
+    """q as numerator/denominator in full, past str()'s 4300-digit limit."""
+    return f"{po.int_text(q.numerator)}/{po.int_text(q.denominator)}"
 
 
 def _jsonable(obj):

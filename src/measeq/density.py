@@ -30,6 +30,8 @@ DEFAULT_THRESHOLD = 3
 DEFAULT_GAP_TOLERANCE = 0.05
 # residues are taken in int64, so no ladder modulus may pass it
 MAX_MODULUS = 2**63 - 1
+# inclusion-exclusion visits at most this many subset nodes
+IE_TERM_LIMIT = 200_000
 
 
 def _crt_intersect(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -144,10 +146,10 @@ class APSet:
         )
 
 
-def ap_union_density(s: APSet, term_limit: int = 200_000) -> Fraction:
+def ap_union_density(s: APSet) -> Fraction:
     """Exact density of an APSet by inclusion-exclusion over lcm's.
 
-    Empty intersections prune the subset lattice; `term_limit` bounds the
+    Empty intersections prune the subset lattice; IE_TERM_LIMIT bounds the
     number of visited subset nodes (CapacityError beyond it).
     """
     progs = s.progressions
@@ -158,10 +160,8 @@ def ap_union_density(s: APSet, term_limit: int = 200_000) -> Fraction:
         nonlocal total, visited
         for j in range(start, len(progs)):
             visited += 1
-            if visited > term_limit:
-                raise CapacityError(
-                    f"inclusion-exclusion exceeded {term_limit} terms"
-                )
+            if visited > IE_TERM_LIMIT:
+                raise CapacityError(f"inclusion-exclusion exceeded {IE_TERM_LIMIT} terms")
             merged = _crt_intersect(r, m, *progs[j])
             if merged is None:
                 continue
@@ -187,10 +187,9 @@ class Predicate:
         self.max_n = max_n
 
     @classmethod
-    def from_callable(cls, fn: Callable[[int], bool], name: str = "pred") -> "Predicate":
+    def from_callable(cls, fn: Callable[[int], bool]) -> "Predicate":
         """The predicate of a plain n -> bool callable; its mask calls fn once per n."""
-        return cls(mask=lambda N: np.fromiter(map(fn, range(1, N + 1)), dtype=bool, count=N),
-                   name=name)
+        return cls(mask=lambda N: np.fromiter(map(fn, range(1, N + 1)), dtype=bool, count=N))
 
     def __call__(self, n: int) -> bool:
         if n < 1:
@@ -270,8 +269,8 @@ def count_in_window(pred, N: int) -> int:
 class DensityEstimate:
     """Window-profile estimate of an asymptotic density.
 
-    `value` is None when the grid tail does not settle within `tolerance`;
-    an oscillating set is reported that way on purpose.
+    `value` is None when the grid tail does not settle within the profile's
+    tolerance; an oscillating set is reported that way on purpose.
     """
 
     value: float | None
@@ -279,7 +278,6 @@ class DensityEstimate:
     limsup_est: float
     window_grid: tuple[int, ...]
     ratios: tuple[float, ...]
-    tolerance: float
 
 
 def _grid(grid: Sequence[int]) -> list[int]:
@@ -295,7 +293,7 @@ def _profile(mask: np.ndarray, grid: list[int], tolerance: float) -> DensityEsti
     tail = ratios[-max(1, len(ratios) // 3) :]
     lo, hi = min(tail), max(tail)
     value = (lo + hi) / 2 if hi - lo <= tolerance else None
-    return DensityEstimate(value, lo, hi, tuple(grid), ratios, tolerance)
+    return DensityEstimate(value, lo, hi, tuple(grid), ratios)
 
 
 def asymptotic_density_profile(

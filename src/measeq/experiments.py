@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import MAX_MODULUS
+from .density import MAX_MODULUS, _fold
 from .dist import _default_grid, cell_index, moments, sup_norm, table_deviations
 from .errors import (
     ContinuityBudgetError,
@@ -43,6 +43,12 @@ MOMENT_TOL = 0.02
 INDEP_THRESHOLD = 0.02
 NIVEN_M = 8
 NIVEN_THRESHOLD = 0.05
+# fixed verdicts: metric-ud evaluates each extension within EVAL_EPS and passes
+# when at least PASS_FRACTION of the points are flat; a composed family passes
+# when every product mean factorizes within PRODUCT_MEAN_TOL
+EVAL_EPS = 1e-3
+PASS_FRACTION = 0.95
+PRODUCT_MEAN_TOL = 0.02
 
 
 def normal_cdf(x) -> np.ndarray | float:
@@ -104,7 +110,7 @@ def niven_ud_test(k, M: int, threshold: float = 0.05) -> ExperimentReport:
     """Worst residue-class frequency deviation from 1/m over all moduli m <= M.
 
     k is reduced only modulo the m in (M/2, M], which divide no other modulus;
-    a smaller m sums the class counts of its largest multiple up to M.
+    a smaller m sums the class counts of its largest multiple up to M (`_fold`).
     """
     k = np.asarray(k, dtype=np.int64)
     if M < 1:
@@ -116,7 +122,7 @@ def niven_ud_test(k, M: int, threshold: float = 0.05) -> ExperimentReport:
     worst = 0.0
     for m in range(1, M + 1):
         top = M // m * m
-        freq = counts[top].reshape(top // m, m).sum(axis=0) / k.size
+        freq = _fold(counts[top], m) / k.size
         dev = float(np.abs(freq - 1.0 / m).max())
         trace.append((m, dev))
         worst = max(worst, dev)
@@ -348,18 +354,17 @@ def metric_ud_experiment(
     family,
     n_alphas: int,
     seed: int,
-    N_terms: int | None = None,
     h_max: int = 3,
     threshold: float = 0.25,
-    pass_fraction: float = 0.95,
-    eval_eps: float = 1e-3,
 ) -> ExperimentReport:
     """Exponential-sum flatness of the extended family at sampled points.
 
-    For each sampled point alpha, the n-th term is the extension of the n-th
-    family member evaluated at alpha; the statistic per alpha is the largest
-    normalized exponential sum magnitude over frequencies 1..h_max (negative
-    frequencies give conjugate sums of equal magnitude).
+    For each sampled point alpha, the n-th of the len(family) terms is the
+    extension of the n-th member evaluated at alpha within EVAL_EPS; the
+    statistic per alpha is the largest normalized exponential sum magnitude
+    over frequencies 1..h_max (negative frequencies give conjugate sums of
+    equal magnitude).  The run passes when at least PASS_FRACTION of the
+    points have a statistic within `threshold`.
     """
     bases = _family_bases(family)
     product = math.prod(bases)
@@ -372,19 +377,15 @@ def metric_ud_experiment(
                         f"bases {bases[i]} and {bases[j]} share a factor; family "
                         f"is not pairwise independent"
                     )
-    if N_terms is None:
-        N_terms = len(family)
-    if N_terms > len(family):
-        raise GateError(f"asked for {N_terms} terms from {len(family)} members")
-    depth = max(_digits_needed(b, eval_eps) for b in bases)
+    depth = max(_digits_needed(b, EVAL_EPS) for b in bases)
     levels = tuple(product**i for i in range(1, depth + 1))
-    terms = np.empty((n_alphas, N_terms))
+    terms = np.empty((n_alphas, len(family)))
     members = []  # (h, its witness m, the index k of the first level m divides)
-    for h in family[:N_terms]:
-        m = _witness(h, eval_eps)
+    for h in family:
+        m = _witness(h, EVAL_EPS)
         k = _dividing_level(levels, m)
         if m > MAX_MODULUS:  # residues mod m reach `values_at` as int64
-            raise ResolutionError(f"witness modulus {m} for eps={eval_eps} exceeds 2**63 - 1")
+            raise ResolutionError(f"witness modulus {m} for eps={EVAL_EPS} exceeds 2**63 - 1")
         members.append((h, m, k))
     # point i is `sample_omega(seed * 1_000_003 + i, levels)`, drawn up to the
     # deepest level a member reads: one digit d_j per level, and the residue at
@@ -392,7 +393,7 @@ def metric_ud_experiment(
     count = max((k + 1 for _, _, k in members), default=0)
     rngs = (random.Random(seed * 1_000_003 + i) for i in range(n_alphas))
     digits = [[rng.randrange(product) for _ in range(count)] for rng in rngs]
-    # each term is `extend_eval(h, alpha, eval_eps)`: h at the residue mod its witness
+    # each term is `extend_eval(h, alpha, EVAL_EPS)`: h at the residue mod its witness
     residues = _member_residues(digits, [(m, k) for _, m, k in members], product)
     for t, ((h, _, _), rs) in enumerate(zip(members, residues)):
         terms[:, t] = h.values_at(np.array(rs, dtype=np.int64))
@@ -409,11 +410,11 @@ def metric_ud_experiment(
         name="metric-ud",
         parameters={
             "n_alphas": n_alphas,
-            "N_terms": N_terms,
+            "N_terms": len(family),
             "h_max": h_max,
             "threshold": threshold,
-            "pass_fraction": pass_fraction,
-            "eval_eps": eval_eps,
+            "pass_fraction": PASS_FRACTION,
+            "eval_eps": EVAL_EPS,
             "ladder_depth": depth,
         },
         statistics={
@@ -421,7 +422,7 @@ def metric_ud_experiment(
             "fraction_passing": frac_ok,
         },
         trace=tuple(per_alpha),
-        passed=frac_ok >= pass_fraction,
+        passed=frac_ok >= PASS_FRACTION,
         seed=seed,
     )
 
@@ -439,12 +440,12 @@ def composed_independence_check(
     family,
     g_family: Sequence[Sequence[Callable]],
     k,
-    tolerance: float = 0.02,
 ) -> ExperimentReport:
     """Product-mean factorization of composed, resampled family members.
 
     For each tuple (g_1, ..., g_r) the deviation is
-    |E_N(prod g_j(v_j(k))) - prod E_N(g_j(v_j(k)))|; the statistic is the max.
+    |E_N(prod g_j(v_j(k))) - prod E_N(g_j(v_j(k)))|; the statistic is the max,
+    and it passes within PRODUCT_MEAN_TOL.
     A g that fails or is not finite on its member's values raises DomainError.
     """
     k = _index_gate(k)
@@ -472,9 +473,9 @@ def composed_independence_check(
             "tuples": len(list(g_family)),
             "members": len(family),
             "N_indices": int(k.size),
-            "tolerance": tolerance,
+            "tolerance": PRODUCT_MEAN_TOL,
         },
         statistics={"max_deviation": worst},
         trace=tuple(trace),
-        passed=worst <= tolerance,
+        passed=worst <= PRODUCT_MEAN_TOL,
     )

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from math import isfinite
 from typing import Sequence
 
@@ -21,6 +21,12 @@ from .density import APSet, FACTORIAL_LADDER
 from .errors import ContinuityBudgetError, DiagnosticError, DomainError, ResolutionError
 from .primes import divisors
 from .seqgen import CallableSequence, PeriodicTable, SequenceWindow
+
+
+def int_text(n: int) -> str:
+    """n in decimal digits, of any length: Decimal writes integers in full
+    where str() stops at 4300 digits."""
+    return format(Decimal(n), "f")
 
 
 class DyadicRational(Fraction):
@@ -43,7 +49,7 @@ class DyadicRational(Fraction):
         return self.numerator << (exponent - self.exponent)
 
     def __repr__(self) -> str:
-        return f"{self.numerator}/2^{self.exponent}"
+        return f"{int_text(self.numerator)}/2^{self.exponent}"
 
     def __reduce__(self):
         """Pickle and copy rebuild from (numerator, exponent); Fraction's own
@@ -66,10 +72,9 @@ def polyadic_distance(a: int, b: int) -> DyadicRational:
     return DyadicRational(num, d)
 
 
-@lru_cache(maxsize=64)
-def ladder_steps(levels: tuple[int, ...]) -> tuple[int, ...]:
+def ladder_steps(levels: Sequence[int]) -> tuple[int, ...]:
     """Step ratios b // a of a ladder that increases by divisibility; ValueError
-    at the first step that does not.  Cached: sampled points share ladders."""
+    at the first step that does not."""
     for a, b in zip(levels, levels[1:]):
         if b <= a or b % a:
             raise ValueError(f"levels must increase by divisibility ({a} -> {b})")
@@ -95,7 +100,7 @@ class OmegaPoint:
         lv, rs = self.levels, self.residues
         if not lv or len(lv) != len(rs):
             raise ValueError("levels and residues must be equal-length and nonempty")
-        ladder_steps(tuple(lv))
+        ladder_steps(lv)
         for m, r in zip(lv, rs):
             if not 0 <= r < m:
                 raise ValueError(f"residue {r} out of range for level {m}")
@@ -173,7 +178,6 @@ class ContinuityProfile:
 
     pairs: tuple[tuple[float, int], ...]
     failures: tuple[float, ...]
-    ladder: tuple[int, ...]
     window_used: int
     class_ranges: tuple[tuple[int, float], ...]
 
@@ -228,9 +232,7 @@ def p_continuity_profile(
                 break
         else:
             failures.append(float(eps))
-    return ContinuityProfile(
-        tuple(pairs), tuple(failures), tuple(ladder), int(vals.size), tuple(ranges)
-    )
+    return ContinuityProfile(tuple(pairs), tuple(failures), int(vals.size), tuple(ranges))
 
 
 @dataclass
@@ -252,16 +254,16 @@ def weak_continuity_profile(
     eps: float,
     delta: float,
     ladder: Sequence[int],
-    window_N: int | None = None,
 ) -> ExceptionalSet:
     """First ladder level whose epsilon-violating classes have density < delta.
 
-    The returned certificate is verified on the window only; it never claims
+    v is a window, or a handle read on twice the largest ladder modulus.  The
+    returned certificate is verified on the window only; it never claims
     anything about the infinite sequence.  Raises ContinuityBudgetError with
     the best (level, fraction) found when no level fits the budget.
     """
     ladder = sorted(int(m) for m in ladder)
-    vals = _window_values(v, window_N, ladder)
+    vals = _window_values(v, None, ladder)
     best: tuple[int, float] | None = None
     for m in ladder:
         spreads = _class_spreads(vals, m)

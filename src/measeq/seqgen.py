@@ -371,9 +371,8 @@ class PeriodicTable:
 class CallableSequence:
     """An arbitrary n -> value rule; no continuity knowledge."""
 
-    def __init__(self, fn: Callable[[int], float], name: str = "fn"):
+    def __init__(self, fn: Callable[[int], float]):
         self.fn = fn
-        self.name = name
 
     def eval(self, n: int) -> float:
         return float(self.fn(n))

@@ -248,7 +248,6 @@ def test_criterion_10_metric_theorem_spot_check():
             seed=MASTER_SEED,
             h_max=3,
             threshold=0.25,
-            pass_fraction=19 / 20,
         )
         assert rep.statistics["fraction_passing"] >= 19 / 20
         assert rep.passed

@@ -627,6 +627,17 @@ class TestGoldenBytes:
          "5263baeb2c39ff6a397281745e05271c9aa3b6603c7944d2b1cd5c09eb981f9d"),
         (["exp", "weaklaw", "--config", '{"primes":5,"n":4000,"k_grid":[1,5],"eps":0.2}'],
          "4d9f8ee588015e9a1d7b18fecfe563a8605234f0e7af888c9a6aeb40b6c29fcb"),
+        # the reports that echo experiments' fixed values (metric-ud's eval_eps,
+        # pass_fraction and N_terms, sss's tolerance) or run the continuity gate
+        (["--seed", "63004043", "exp", "metric-ud", "--config", '{"primes":5,"n_alphas":4}'],
+         "3559e096a84bd9ce6e3e64e6e228707c25f5a099762b533cde8af339229f37f0"),
+        (["exp", "sss", "--config",
+          '{"bases":[2,3],"g":["x^2","x"],"indices":{"kind":"pair_swap","n":2000}}'],
+         "939cdc2c50306a70a8a7db0da36760abfd281a11ab120a02a2cf1b42cbd53a51"),
+        (["exp", "resample", "--config",
+          '{"seq":{"kind":"vdc","chain":{"factorial":6}},"n":81000,'
+          '"indices":{"kind":"pair_swap","n":1000},"eps":0.05}'],
+         "f43febdc34c8592f86aa3246778ad5c5dd14bd0a266b0e05150cad13f841fc26"),
     ]
 
     @pytest.mark.parametrize("argv, digest", CASES)

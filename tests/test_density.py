@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from measeq import density
 from measeq.density import (
     APSet,
     FACTORIAL_LADDER,
@@ -162,12 +163,14 @@ class TestUnionDensity:
     def test_matches_enumeration(self, s):
         assert ap_union_density(s) == union_density_by_enumeration(s)
 
-    def test_term_limit_counts_subset_nodes(self):
+    def test_term_limit_counts_subset_nodes(self, monkeypatch):
         # coprime moduli: all 2^4 - 1 nonempty subsets intersect, so 15 nodes
         s = APSet([(0, 2), (0, 3), (0, 5), (0, 7)])
-        assert ap_union_density(s, term_limit=15) == 1 - Fraction(1 * 2 * 4 * 6, 2 * 3 * 5 * 7)
+        monkeypatch.setattr(density, "IE_TERM_LIMIT", 15)
+        assert ap_union_density(s) == 1 - Fraction(1 * 2 * 4 * 6, 2 * 3 * 5 * 7)
+        monkeypatch.setattr(density, "IE_TERM_LIMIT", 14)
         with pytest.raises(CapacityError, match="^inclusion-exclusion exceeded 14 terms$"):
-            ap_union_density(s, term_limit=14)
+            ap_union_density(s)
 
 
 class TestSaturation:
@@ -210,7 +213,7 @@ class TestCoverCertificates:
 
     def test_finite_set_mops_up_with_singletons(self):
         t = 7
-        pred = Predicate.from_callable(lambda n: n <= t, name="initial")
+        pred = Predicate.from_callable(lambda n: n <= t)
         cert = buck_upper(pred, ladder=FACTORIAL_LADDER, window_N=200_000)
         assert cert.cost <= Fraction(t, max(FACTORIAL_LADDER))
         # cost keeps shrinking as the ladder (and straggler modulus) grows

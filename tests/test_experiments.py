@@ -3,6 +3,7 @@ match direct-count oracles, and reports must be bit-reproducible."""
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from measeq import experiments
 from measeq.density import blocks_predicate
 from measeq.errors import (
     DegenerateWindowError,
@@ -229,14 +231,18 @@ class TestMetricUd:
                 members[0] = VdcSequence(BaseChain.factorial(factorial + 1))
             return members
 
-        args = dict(n_alphas=n_alphas, seed=seed, h_max=h_max, eval_eps=eps)
-        try:
-            want = oracles.metric_ud_trace_oracle(family(), N_terms=len(bases), **args)
-        except ResolutionError as e:
-            with pytest.raises(ResolutionError, match=f"^{e}$"):
-                metric_ud_experiment(family(), **args)
-            return
-        assert metric_ud_experiment(family(), **args).trace == want
+        args = dict(n_alphas=n_alphas, seed=seed, h_max=h_max)
+        with mock.patch.object(experiments, "EVAL_EPS", eps):
+            try:
+                want = oracles.metric_ud_trace_oracle(
+                    family(), N_terms=len(bases), eval_eps=eps, **args)
+            except ResolutionError as e:
+                with pytest.raises(ResolutionError, match=f"^{e}$"):
+                    metric_ud_experiment(family(), **args)
+                return
+            rep = metric_ud_experiment(family(), **args)
+        assert rep.trace == want
+        assert rep.parameters["eval_eps"] == eps
 
     @given(st.integers(2, 2**300), st.data())
     @settings(max_examples=60, deadline=None)
@@ -253,8 +259,9 @@ class TestMetricUd:
         assert _member_residues(digits, moduli, P) == want
 
     def test_trace_of_a_200_member_family_equals_per_point_extend_eval(self):
-        args = dict(n_alphas=6, seed=424242, h_max=3, eval_eps=1e-3)
-        want = oracles.metric_ud_trace_oracle(vdc_family_primes(200), N_terms=200, **args)
+        args = dict(n_alphas=6, seed=424242, h_max=3)
+        want = oracles.metric_ud_trace_oracle(
+            vdc_family_primes(200), N_terms=200, eval_eps=1e-3, **args)
         assert metric_ud_experiment(vdc_family_primes(200), **args).trace == want
 
     @pytest.mark.parametrize("bases, pair", [

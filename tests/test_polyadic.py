@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,18 @@ class TestDyadicRational:
         assert d == q
         assert repr(d) == f"{q.numerator}/2^{q.denominator.bit_length() - 1}"
         assert d.scaled_numerator(exp) == num
+
+    def test_repr_past_the_str_digit_limit(self):
+        # a 4514-digit numerator: str() of it stops at 4300 digits
+        d = polyadic_distance(0, 15000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            num = str(d.numerator)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(num) > limit
+        assert repr(d) == f"{num}/2^15000"
 
 
 class TestMetric:
@@ -163,9 +176,7 @@ class TestWeakContinuity:
 
         pred = squares_predicate()
         seq = CallableSequence(lambda n: 1.0 if pred(n) else 0.0)
-        exc = weak_continuity_profile(
-            seq, eps=0.5, delta=0.3, ladder=[1, 2, 6, 24], window_N=2000
-        )
+        exc = weak_continuity_profile(seq.window(2000), eps=0.5, delta=0.3, ladder=[1, 2, 6, 24])
         assert exc.modulus == 24
         assert exc.mu_upper == Fraction(6, 24)
         assert {r for r, _ in exc.aps.progressions} == {0, 1, 4, 9, 12, 16}
@@ -173,8 +184,7 @@ class TestWeakContinuity:
     def test_harmonic_needs_deep_level(self):
         seq = CallableSequence(lambda n: 1.0 / n)
         exc = weak_continuity_profile(
-            seq, eps=0.1, delta=0.01, ladder=[1, 2, 6, 24, 120, 720, 5040],
-            window_N=10_080,
+            seq.window(10_080), eps=0.1, delta=0.01, ladder=[1, 2, 6, 24, 120, 720, 5040]
         )
         assert exc.modulus >= 720
         assert float(exc.mu_upper) < 0.01
