@@ -28,6 +28,7 @@ from . import dist as di
 from . import experiments as ex
 from . import polyadic as po
 from . import seqgen as sg
+from .csvtext import csv_text
 from .errors import ConfigError, DomainError, MeaseqError
 
 
@@ -430,7 +431,7 @@ def _run_gen(v, cfg: RunConfig):
         "mean": mean,
         "bounds": list(w.bounds),
     }
-    return report, ("n,value", [range(1, len(w) + 1), w.values.tolist()])
+    return report, ("n,value", [range(1, len(w) + 1), w.values])
 
 
 def _run_density(v, cfg: RunConfig):
@@ -468,9 +469,7 @@ def _run_edf(v, cfg: RunConfig):
     F = di.edf(v.seq.window(v.n))
     report = {"points": int(F.breakpoints.size), "mean": F.mean()}
     # breakpoints increase strictly, so F(x_i) = padded[i]: the masses shifted down a row
-    upto = list(map(repr, F.cum.tolist()))
-    columns = [F.breakpoints.tolist(), ["0.0", *upto[:-1]], upto]
-    return report, ("x,mass_below,mass_upto", columns)
+    return report, ("x,mass_below,mass_upto", [F.breakpoints, F.padded[:-1], F.cum])
 
 
 def _run_moments(v, cfg: RunConfig):
@@ -691,19 +690,6 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     return 0, output
 
 
-def _csv_text(series) -> str:
-    """The header line, then one line per row, stopping at the shortest column;
-    every cell is written by one `%s` over all rows, which is `repr` for a float
-    (`str(float) == repr(float)`) and `str` for an int or a label."""
-    header, columns = series
-    k = len(columns)
-    n = min(map(len, columns), default=0)
-    cells = [None] * (k * n)
-    for i, column in enumerate(columns):
-        cells[i::k] = column[:n]
-    return f"{header}\n" + (",".join(["%s"] * k) + "\n") * n % tuple(cells)
-
-
 def _non_finite(obj, path: str = "") -> str | None:
     """The key path and value of the first float, in report order, that JSON
     cannot hold (NaN or +-inf), or None."""
@@ -731,13 +717,13 @@ def _emit(cfg: RunConfig, output: dict, series) -> None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
             if series is not None:
-                path.with_suffix(".csv").write_text(_csv_text(series))
+                path.with_suffix(".csv").write_text(csv_text(series))
         except OSError as e:
             raise ConfigError(f"cannot write {path}: {e}") from e
     elif cfg.fmt == "csv":
         if series is None:
             raise ConfigError("this verb produces no CSV series; use --format json")
-        sys.stdout.write(_csv_text(series))
+        sys.stdout.write(csv_text(series))
     else:
         sys.stdout.write(text)
 
@@ -810,6 +796,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MeaseqError as e:
         print(f"run refused: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"run refused: out of memory: {e}", file=sys.stderr)
         return 1
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -274,7 +275,7 @@ class TestCsvSeries:
     @settings(max_examples=300)
     def test_columns_give_the_per_row_bytes(self, series):
         header, rows = series
-        text = cli._csv_text((header, list(zip(*rows))))
+        text = cli.csv_text((header, list(zip(*rows))))
         assert text.encode() == _csv_oracle_text(header, rows).encode()
 
     @given(st.lists(st.lists(CSV_CELLS, max_size=12), max_size=4))
@@ -286,7 +287,7 @@ class TestCsvSeries:
     def test_unequal_columns_stop_at_the_shortest(self, columns):
         # zip stops at the shortest column; no column at all leaves the header only
         header = ",".join(f"c{i}" for i in range(len(columns)))
-        text = cli._csv_text((header, columns))
+        text = cli.csv_text((header, columns))
         assert text.encode() == _csv_oracle_text(header, list(zip(*columns))).encode()
 
     @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False).map(lambda x: round(x, 1)), min_size=1,
@@ -300,12 +301,29 @@ class TestCsvSeries:
         _, series = cli._run_edf(v, None)
         F = edf(v.seq.window(v.n))
         want = oracles.csv_lines_oracle(series[0], oracles.edf_series_oracle(F))
-        assert cli._csv_text(series) == "\n".join(want) + "\n"
+        assert cli.csv_text(series) == "\n".join(want) + "\n"
 
 
 class TestExitCodes:
     def test_bad_json_is_config_error(self, capsys):
         assert main(["gen", "--spec", "{not json"]) == 2
+
+    def test_out_of_memory_is_refused_in_one_line(self):
+        # the window's first level asks for 8 GB at once; the address-space cap
+        # is set in the child only, so that allocation fails and touches nothing
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        # one BLAS thread, so that its buffers fit under the cap on any core count
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        argv = [sys.executable, "-m", "measeq.cli", "gen", "--spec",
+                '{"kind":"vdc","chain":{"ratio":1000000000}}', "--n", "1000000000"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=cap,
+                              timeout=120)
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("run refused: out of memory: Unable to allocate")
 
     def test_unknown_pred_is_config_error(self, capsys):
         assert main(["density", "--pred", "cubes"]) == 2
@@ -638,6 +656,26 @@ class TestGoldenBytes:
           '{"seq":{"kind":"vdc","chain":{"factorial":6}},"n":81000,'
           '"indices":{"kind":"pair_swap","n":1000},"eps":0.05}'],
          "f43febdc34c8592f86aa3246778ad5c5dd14bd0a266b0e05150cad13f841fc26"),
+        # CSV series, recorded while every cell was written by one `%s` join:
+        # positional floats, exponent-form floats, labels, ints and 0.0
+        (["--format", "csv", "gen", "--spec", '{"kind":"vdc","chain":{"ratio":2,"levels":8}}',
+          "--n", "205000"],
+         "5511cb7fc4416bb5a2b40cd6415e495c836dcfd5b119ca526d977fedfd1c9e4a"),
+        (["--format", "csv", "gen", "--spec", '{"kind":"vdc","chain":{"ratio":10,"levels":6}}',
+          "--n", "291000"],
+         "4bd426c6e690f0c1f7567c8db4fa90e87cb21f78013d2988b0eb570a9143db09"),
+        (["--format", "csv", "dist", "edf", "--seq", '{"kind":"vdc","chain":{"factorial":9}}',
+          "--n", "39900"],
+         "75892d39d31b01a303d19e0906a42386b1daf6a2548704873a998d1392b631f6"),
+        (["--format", "csv", "dist", "indep", "--kind", "functional", "--seq",
+          '{"kind":"vdc","chain":{"ratio":7,"levels":1}}', "--seq2",
+          '{"kind":"vdc","chain":{"ratio":5,"levels":1}}', "--n", "1000"],
+         "fcfcacc34cba59e4f2686a624fe9e563f437280dd3de843c1059f4129b1c0451"),
+        (["--format", "csv", "polyadic", "integrate", "--seq",
+          '{"kind":"vdc","chain":{"ratio":5,"levels":10}}', "--ladder", "factorial"],
+         "96acb1ccabeb49662cb6d0f103e1506bd9ca277fa35d754aea4ae3e15f8b799a"),
+        (["--format", "csv", "exp", "clt", "--config", '{"bases":[2,3,5],"n":4000}'],
+         "762eb9b37b63859d9d4deacce6cf4df5d4e7fe64b3084929308631de66bb5a20"),
     ]
 
     @pytest.mark.parametrize("argv, digest", CASES)
