@@ -51,9 +51,6 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"bad config field {name!r}: {value!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         try:
@@ -75,12 +72,8 @@ def _jsonable(obj):
         return _exact(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):  # a numpy bool, integer or float scalar
+        return obj.item()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -88,96 +81,31 @@ def _jsonable(obj):
     return obj
 
 
-# ---------------------------------------------------------------- spec parsing
+# ---------------------------------------------------------------- text parsing
 
 
 @contextmanager
 def _reading(what: str, spec):
-    """Turn an unreadable `spec`, or a malformed field of it, into one
-    ConfigError naming the spec."""
+    """Turn unreadable text, or a value that a library constructor rejects,
+    into one ConfigError naming `spec`."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, OSError) as e:
-        reason = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-        raise ConfigError(f"bad {what} {spec!r}: {reason}") from e
+    except (ValueError, OverflowError, OSError) as e:
+        raise ConfigError(f"bad {what} {spec!r}: {e}") from e
 
 
-def _count(x) -> int:
-    if int(x) != x or x < 1:
-        raise ValueError(f"need a positive integer, got {x!r}")
-    return int(x)
-
-
-def _exact_int(text: str) -> int:
-    """An integer literal, or float notation such as 1e3 that is an exact integer."""
+def _positive_int(text: str) -> int:
+    """A positive integer literal, or float notation such as 1e3 that is one exactly."""
     try:
-        return int(text)
+        k = int(text)
     except ValueError:
         x = float(text)
-    if not x.is_integer() or Decimal(text) != Decimal(x):
-        raise ValueError(f"need an exact integer, got {text!r}")
-    return int(x)
-
-
-def parse_sequence_spec(spec) -> object:
-    """JSON sequence spec -> the sequence (`eval`, `window`, `witness`)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("sequence spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    with _reading("sequence spec", spec):
-        if kind == "vdc":
-            chain = spec.get("chain", {})
-            if "moduli" in chain:
-                return sg.VdcSequence(sg.BaseChain(tuple(chain["moduli"])))
-            if "factorial" in chain:
-                return sg.VdcSequence(sg.BaseChain.factorial(int(chain["factorial"])))
-            ratio = int(chain.get("ratio", 2))
-            levels = int(chain.get("levels", 1))
-            return sg.VdcSequence(sg.BaseChain.geometric(ratio, levels))
-        if kind == "additive":
-            primes = {int(p): float(v) for p, v in spec.get("primes", {}).items()}
-            return sg.AdditiveFunctionSpec(primes, float(spec.get("tail", 0.0)))
-        if kind == "simple":
-            parts = [
-                (de.APSet.single(int(p["r"]), int(p["m"])), float(p["c"]))
-                for p in spec.get("parts", [])
-            ]
-            return sg.SimpleSpec(parts)
-        if kind == "periodic":
-            return sg.PeriodicTable([float(v) for v in spec["values"]])
-        if kind == "uniform":
-            n = int(spec.get("n", 1000))
-            return sg.PeriodicTable([i / n for i in range(n)])
-    raise ConfigError(f"unknown sequence kind {kind!r}")
-
-
-def parse_predicate_spec(spec, n: int):
-    """JSON predicate spec -> (membership predicate, its APSet or None); an AP
-    union keeps its progressions, whose density is known exactly. A threshold
-    spec that gives no window length "n" is windowed to `n`."""
-    if isinstance(spec, str):
-        named = {
-            "squares": de.squares_predicate,
-            "primes": de.primes_predicate,
-            "blocks": de.blocks_predicate,
-        }
-        if spec not in named:
-            raise ConfigError(f"unknown predicate {spec!r}")
-        return named[spec](), None
-    if isinstance(spec, dict) and "ap" in spec:
-        with _reading("predicate spec", spec):
-            pairs = [spec["ap"]] if isinstance(spec["ap"], dict) else spec["ap"]
-            apset = de.APSet([(int(p["r"]), int(p["m"])) for p in pairs])
-        return de.ap_predicate(apset), apset
-    if isinstance(spec, dict) and "threshold" in spec:
-        t = spec["threshold"]
-        with _reading("predicate spec", spec):
-            handle = parse_sequence_spec(t["seq"])
-            n = _count(t.get("n", n))
-            lo = float(t.get("lo", -np.inf))
-            hi = float(t.get("hi", np.inf))
-        return de.window_level_set(handle.window(n), lo, hi), None
-    raise ConfigError(f"cannot interpret predicate spec {spec!r}")
+        if not x.is_integer() or Decimal(text) != Decimal(x):
+            raise ValueError(f"need an exact integer, got {text!r}") from None
+        k = int(x)
+    if k < 1:
+        raise ValueError(f"need a positive integer, got {k}")
+    return k
 
 
 def parse_ladder(text: str) -> tuple[int, ...]:
@@ -192,7 +120,7 @@ def parse_ladder(text: str) -> tuple[int, ...]:
             raise ConfigError(f"bad ladder {text!r}: factorial:K needs an integer K in 1..{top}")
         return de.FACTORIAL_LADDER[: int(k)]
     with _reading("ladder", text):
-        return tuple(_count(_exact_int(x)) for x in text.split(","))
+        return tuple(_positive_int(x) for x in text.split(","))
 
 
 def parse_density_ladder(text: str) -> tuple[int, ...]:
@@ -216,58 +144,23 @@ def parse_grid(text: str) -> tuple[int, ...]:
     with _reading("grid", text):
         if ".." in text:
             a_str, b_str = text.split("..", 1)
-            a, b = _exact_int(a_str), _exact_int(b_str)
-            if a < 1 or b < a:
-                raise ValueError("need 1 <= A <= B")
-            grid = []
-            n = a
-            while n < b:
-                grid.append(n)
-                n *= 2
-            grid.append(b)
-            return tuple(grid)
-        grid = tuple(_exact_int(x) for x in text.split(","))
-        if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("need positive, strictly increasing windows")
+            a, b = _positive_int(a_str), _positive_int(b_str)
+            if b < a:
+                raise ValueError("need A <= B")
+            # a 2**k < b exactly when 2**k <= (b - 1) // a
+            return tuple(a << k for k in range(((b - 1) // a).bit_length())) + (b,)
+        grid = tuple(_positive_int(x) for x in text.split(","))
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("need strictly increasing windows")
         return grid
 
 
-def parse_indices(spec) -> np.ndarray:
-    with _reading("index spec", spec):
-        if isinstance(spec, list):
-            return np.asarray(spec, dtype=np.int64)
-        n = int(spec.get("n", 10_000))
-        kind = spec.get("kind", "identity")
-        if kind == "identity":
-            return ex.identity_indices(n)
-        if kind == "pair_swap":
-            return ex.pair_swap_indices(n)
-        if kind == "even":
-            return 2 * ex.identity_indices(n)
-    raise ConfigError(f"unknown index kind {kind!r}")
-
-
-def _exp_config(raw) -> dict:
-    """The experiment config object: inline JSON, or JSON in the file after '@'."""
+def _object(raw, label: str) -> dict:
+    """A JSON object, given as is, inline as text, or in the file after '@'."""
     if isinstance(raw, str):
-        with _reading("experiment config", raw):
+        with _reading(label, raw):
             raw = json.loads(Path(raw[1:]).read_text() if raw.startswith("@") else raw)
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    return raw
-
-
-def _cell_grid(k: int):
-    try:
-        return di.unit_interval_grid(k)
-    except ValueError as e:
-        raise ConfigError(f"bad cells: {e}") from e
-
-
-def _two_handles(specs: list) -> list:
-    if len(specs) != 2:
-        raise ConfigError("conv needs exactly two sequence specs")
-    return [parse_sequence_spec(s) for s in specs]
+    return _typed(raw, (dict,), label)
 
 
 _G_REGISTRY = {
@@ -282,11 +175,13 @@ _G_REGISTRY = {
 
 @dataclass(frozen=True)
 class Param:
-    """A verb's parameter: flag `--name` and key in the echoed params (or the
-    experiment config), holding JSON of `types` (a list of `items`) within
-    `choices` and `least`, which `convert` turns into the handler's value.
-    A list holds at least `min_items` items, and exactly `n_items(resolved)`
-    where that function of the values resolved before it is not None.
+    """A verb's parameter, or a key of a JSON object the CLI reads: flag
+    `--name` and key in the echoed params (or in the object), holding JSON of
+    `types` (a list of `items`) within `choices` and `least`. An object, or
+    each object of a list, is resolved against the table `keys`; `convert`
+    then turns the value into the handler's. A list holds at least
+    `min_items` items, and exactly `n_items(resolved)` where that function of
+    the values resolved before it is not None.
     An absent one takes `default` (echoed form, or a function of the values
     resolved before it), echoed from the command line only if `echo` is set.
     `flags` and `read(args, params)` replace `--name` where argv differs."""
@@ -330,7 +225,7 @@ def _typed(value, types: tuple[type, ...], label: str):
     integer, an integer as a number, a boolean as neither."""
     if int in types and isinstance(value, float) and value.is_integer():
         value = int(value)
-    elif float in types and type(value) is int:
+    elif float in types and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
     if isinstance(value, bool) or not isinstance(value, types):
         expected = " or ".join(t.__name__ for t in types)
@@ -341,14 +236,15 @@ def _typed(value, types: tuple[type, ...], label: str):
 
 def _check(p: Param, value, label: str, resolved: SimpleNamespace):
     value = _typed(value, p.types, label)
-    if p.items:
+    many = p.items is not None and isinstance(value, list)
+    if many:
         value = [_typed(x, (p.items,), f"{label} item") for x in value]
         if len(value) < p.min_items:
             raise ConfigError(f"bad {label}: need {p.min_items} or more items, got {len(value)}")
         want = p.n_items(resolved) if p.n_items else None
         if want is not None and len(value) != want:
             raise ConfigError(f"bad {label}: need {want} items ({p.help}), got {len(value)}")
-    for x in value if p.items else [value]:
+    for x in value if many else [value]:
         if p.choices and x not in p.choices:
             raise ConfigError(f"bad {label}: expected one of {list(p.choices)}, got {x!r}")
         if p.least is not None and x < p.least:
@@ -358,7 +254,7 @@ def _check(p: Param, value, label: str, resolved: SimpleNamespace):
 
 def _resolve(params: tuple[Param, ...], given: dict, where: str = "--") -> SimpleNamespace:
     """Check echoed values against their table and convert them; run and
-    rerun both come through here."""
+    rerun, and every JSON object inside a parameter, come through here."""
     declared = {p.name for p in params}
     for key in given:
         if key not in declared:
@@ -373,9 +269,11 @@ def _resolve(params: tuple[Param, ...], given: dict, where: str = "--") -> Simpl
             value = p.default(out) if callable(p.default) else p.default
         if value is not None:
             value = _check(p, value, label, out)
-            if p.keys:
-                value = _resolve(p.keys, _exp_config(value), f"{label} key ")
-            elif p.convert is not None:
+            if isinstance(value, list) and p.keys:
+                value = [_resolve(p.keys, x, f"{label}[{i}] key ") for i, x in enumerate(value)]
+            elif p.keys:
+                value = _resolve(p.keys, _object(value, label), f"{label} key ")
+            if p.convert is not None:
                 value = p.convert(value)
         setattr(out, p.name, value)
     return out
@@ -393,17 +291,115 @@ def _from_text(p: Param, text: str):
         return text
 
 
+# ---------------------------------------------------------------- spec tables
+
+
+def _chain(c) -> sg.BaseChain:
+    """A vdc chain: its `moduli` if given, else `factorial` levels, else geometric."""
+    if c.moduli is not None:
+        return sg.BaseChain(tuple(c.moduli))
+    if c.factorial is not None:
+        return sg.BaseChain.factorial(c.factorial)
+    return sg.BaseChain.geometric(c.ratio, c.levels)
+
+
+_AP_KEYS = (Param("r", (int,), "residue", required=True, least=0),
+            Param("m", (int,), "modulus", required=True, least=1))
+_SEQUENCE_KINDS = {
+    "vdc": ((Param("chain", (dict,), "base chain", default={}, convert=_chain, keys=(
+        Param("moduli", (list,), "chain moduli", items=int),
+        Param("factorial", (int,), "factorial chain levels"),
+        Param("ratio", (int,), "geometric chain ratio", default=2, least=2),
+        Param("levels", (int,), "geometric chain levels", default=1),
+    )),), lambda s: sg.VdcSequence(s.chain)),
+    # prime keys are decimal strings, as JSON object keys must be strings
+    "additive": ((
+        Param("primes", (dict,), "prime values", default={}, convert=lambda primes: {
+            int(p): _typed(v, (float,), f"additive sequence spec key primes key {p}")
+            for p, v in primes.items()}),
+        Param("tail", (float,), "tail bound", default=0.0),
+    ), lambda s: sg.AdditiveFunctionSpec(s.primes, s.tail)),
+    "simple": ((Param("parts", (list,), "value c on r mod m", default=[], items=dict,
+                      keys=(*_AP_KEYS, Param("c", (float,), "value", required=True))),),
+               lambda s: sg.SimpleSpec([(de.APSet.single(p.r, p.m), p.c) for p in s.parts])),
+    "periodic": ((Param("values", (list,), "one period", required=True, items=float),),
+                 lambda s: sg.PeriodicTable(s.values)),
+    "uniform": ((Param("n", (int,), "grid points i/n", default=1000),),
+                lambda s: sg.PeriodicTable([i / s.n for i in range(s.n)])),
+}
+
+
+def parse_sequence_spec(spec) -> object:
+    """JSON sequence spec -> the sequence (`eval`, `window`, `witness`): its
+    "kind" picks an entry (keys, build) of `_SEQUENCE_KINDS`, whose keys the
+    spec's other keys are resolved against before `build` makes it."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _SEQUENCE_KINDS:
+        raise ConfigError(f"bad sequence spec {spec!r}: need a 'kind' in {list(_SEQUENCE_KINDS)}")
+    keys, build = _SEQUENCE_KINDS[kind]
+    given = {k: v for k, v in spec.items() if k != "kind"}
+    with _reading("sequence spec", spec):
+        return build(_resolve(keys, given, f"{kind} sequence spec key "))
+
+
 _SEQ = Param("seq", (dict,), "sequence spec", required=True, convert=parse_sequence_spec)
 _SEQ2 = replace(_SEQ, name="seq2")
 _N = Param("n", (int,), "window length", default=10_000, echo=True, least=1)
+_NAMED_PREDICATES = {"squares": de.squares_predicate, "primes": de.primes_predicate,
+                     "blocks": de.blocks_predicate}
+_PRED_KEYS = (
+    Param("ap", (dict, list), "residue classes r mod m", items=dict, keys=_AP_KEYS,
+          convert=lambda c: de.APSet([(p.r, p.m) for p in (c if isinstance(c, list) else [c])])),
+    Param("threshold", (dict,), "indices whose value lies in [lo, hi)", keys=(
+        _SEQ,
+        replace(_N, default=None, echo=False),
+        Param("lo", (float,), "lower level", default=-np.inf),
+        Param("hi", (float,), "upper level", default=np.inf),
+    )),
+)
+
+
+def parse_predicate_spec(spec, n: int):
+    """JSON predicate spec -> (membership predicate, its APSet or None); an AP
+    union keeps its progressions, whose density is known exactly. A threshold
+    spec that gives no window length "n" is windowed to `n`."""
+    if isinstance(spec, str):
+        if spec not in _NAMED_PREDICATES:
+            raise ConfigError(f"unknown predicate {spec!r}")
+        return _NAMED_PREDICATES[spec](), None
+    v = _resolve(_PRED_KEYS, spec, "predicate spec key ")
+    if (v.ap is None) == (v.threshold is None):
+        raise ConfigError(f"bad predicate spec {spec!r}: need one of 'ap' and 'threshold'")
+    if v.ap is not None:
+        return de.ap_predicate(v.ap), v.ap
+    t = v.threshold
+    return de.window_level_set(t.seq.window(n if t.n is None else t.n), t.lo, t.hi), None
+
+
+_INDEX_KEYS = (Param("kind", (str,), "index kind", default="identity",
+                     choices=("identity", "pair_swap", "even")),
+               Param("n", (int,), "indices", default=10_000))
+
+
+def parse_indices(spec) -> np.ndarray:
+    """An explicit list of integers, or an object of `_INDEX_KEYS`."""
+    if isinstance(spec, list):
+        with _reading("index spec", spec):
+            return np.asarray(spec, dtype=np.int64)
+    v = _resolve(_INDEX_KEYS, spec, "index spec key ")
+    k = (ex.pair_swap_indices if v.kind == "pair_swap" else ex.identity_indices)(v.n)
+    return 2 * k if v.kind == "even" else k
+
+
 # edf, moments and corr ignore --cells and --kind; configs echoed with them replay unchanged
-_CELLS = Param("cells", (int,), "interval cells per axis", default=10, echo=True,
-               convert=_cell_grid)
+_CELLS = Param("cells", (int,), "interval cells per axis", default=10, echo=True, least=1,
+               convert=di.unit_interval_grid)
 _KIND = Param("kind", (str,), "independence statistic", default="interval", echo=True,
               choices=("interval", "functional"))
 _LADDER = Param("ladder", (str,), 'modulus ladder: "factorial", "primorial", "factorial:K" '
                 "or a comma list", default="factorial", convert=parse_ladder)
-_INDICES = Param("indices", (list, dict), "index spec", required=True, convert=parse_indices)
+_INDICES = Param("indices", (list, dict), "index spec", required=True, items=int,
+                 convert=parse_indices)
 _FAMILY = (Param("primes", (int,), "family over the first K primes", least=1),
            Param("bases", (list,), "family over these bases", items=int, least=2, min_items=1))
 
@@ -598,8 +594,9 @@ _COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
         "indep": Verb("independence statistic", (_SEQ, _SEQ2, _N, _CELLS, _KIND), _run_indep),
         "conv": Verb("convolution of two step distributions", (
             replace(_N, default=1000),
-            Param("seqs", (list,), "sequence specs", required=True, read=_conv_seqs,
-                  convert=_two_handles, flags={
+            Param("seqs", (list,), "sequence specs: each --uniform, --seq and --seq2",
+                  required=True, read=_conv_seqs, items=dict, n_items=lambda _: 2,
+                  convert=lambda specs: [parse_sequence_spec(s) for s in specs], flags={
                       "--uniform": dict(action="count", help="uniform grid factor (repeatable)"),
                       "--seq": dict(help="sequence spec"),
                       "--seq2": dict(help="second sequence spec"),
@@ -685,7 +682,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.fmt not in ("json", "csv"):
         raise ConfigError(f"unknown format {cfg.fmt!r}")
     report, series = spec.run(_resolve(spec.params, cfg.params), cfg)
-    output = {"config": cfg.to_dict(), "report": _jsonable(report)}
+    output = {"config": asdict(cfg), "report": _jsonable(report)}
     _emit(cfg, output, series)
     return 0, output
 
@@ -780,8 +777,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _read_rerun(file: str) -> RunConfig:
     with _reading("rerun file", file):
         payload = json.loads(Path(file).read_text())
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{file} holds no config object")
+    payload = _typed(payload, (dict,), f"rerun file {file}")
     return RunConfig.from_dict(payload.get("config", payload))
 
 

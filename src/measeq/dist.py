@@ -374,6 +374,7 @@ def region_density(
     return float(inside.mean())
 
 
+MAX_ATOMS = 4_000_000  # largest atom product (pairs) that convolve_edf takes
 _CONV_BLOCK = 1 << 16  # pairs per row block of the sorted path, and per chunk of the all-pairs path
 _CONV_FEW = 0.25  # largest distinct share of the first block that takes the sorted path
 
@@ -433,7 +434,7 @@ def _sign_zero_atom(bp: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         bp[z] = x[i] + y[j[i]]
 
 
-def convolve_edf(F: EDF, F1: EDF, max_atoms: int = 4_000_000) -> EDF:
+def convolve_edf(F: EDF, F1: EDF) -> EDF:
     """Distribution of the float sums of two independent step distributions.
 
     Every pair of breakpoints gives the float sum x + y with the product of
@@ -442,10 +443,10 @@ def convolve_edf(F: EDF, F1: EDF, max_atoms: int = 4_000_000) -> EDF:
     reals but round to different floats stay apart, and +0.0 and -0.0 share
     one atom, which keeps the sign of its first pair's sum in row-major
     order.  The caller must pre-coarsen inputs whose atom product exceeds
-    `max_atoms`.  An atom at +inf in one factor and at -inf in the other has
-    no sum, and finite atoms whose sum overflows have no float sum (both
-    DomainError); breakpoints are sorted, so only the end atoms can meet or
-    overflow that way.
+    `MAX_ATOMS` (a CapacityError).  An atom at +inf in one factor and at
+    -inf in the other has no sum, and finite atoms whose sum overflows have
+    no float sum (both DomainError); breakpoints are sorted, so only the end
+    atoms can meet or overflow that way.
 
     The first row block of about `_CONV_BLOCK` pairs picks the path, which
     changes the time taken, never the result.  Few distinct sums: the atoms
@@ -457,8 +458,8 @@ def convolve_edf(F: EDF, F1: EDF, max_atoms: int = 4_000_000) -> EDF:
     bytes an atom, and 24 while the EDF makes its padded copy.
     """
     j1, j2 = F.breakpoints.size, F1.breakpoints.size
-    if j1 * j2 > max_atoms:
-        raise CapacityError(f"{j1} x {j2} atoms exceed the cap {max_atoms}")
+    if j1 * j2 > MAX_ATOMS:
+        raise CapacityError(f"{j1} x {j2} atoms exceed the cap {MAX_ATOMS}")
     (lo, hi), (lo1, hi1) = F.breakpoints[[0, -1]].tolist(), F1.breakpoints[[0, -1]].tolist()
     if isnan(lo + hi1) or isnan(hi + lo1):
         raise DomainError("an atom at +inf and one at -inf have no sum")

@@ -304,7 +304,7 @@ def edf_series_oracle(F):
 def csv_lines_oracle(header, rows):
     lines = [header]
     for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
     return lines
 
 

@@ -254,6 +254,7 @@ BAD_RERUNS = {
 CSV_CELLS = st.one_of(
     st.integers(),
     st.floats(),
+    st.floats().map(np.float64),  # numpy array scalars, as report tables hold them
     st.sampled_from([-0.0, 0.0, float("inf"), float("-inf"), float("nan")]),
     st.text(alphabet="[]()x^-.,0123456789", max_size=8),
 )
@@ -334,7 +335,7 @@ class TestExitCodes:
                 "--n", "100", "--cells", cells]
         assert main(argv) == 2
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"config error: bad cells: need at least one cell, got {cells}"
+            f"config error: bad --cells: need at least 1, got {cells}"
         ]
 
     @pytest.mark.parametrize("k", ["0", "9", "12", "x", "2.5", ""])
@@ -555,6 +556,20 @@ class TestExitCodes:
             ["dist", "moments", "--seq", '{"kind":"additive","primes":{"2":NaN}}', "--n", "2"],
             ["dist", "moments", "--seq", '{"kind":"additive","primes":{"2":1},"tail":NaN}',
              "--n", "2"],
+            # spec keys are declared and typed: none of these is read as something else
+            ["gen", "--spec", '{"kind":"vdc","chain":{"ratio":2.5}}'],
+            ["gen", "--spec", '{"kind":"vdc","chain":{"ratio":"3"}}'],
+            ["gen", "--spec", '{"kind":"vdc","chain":{"levles":3}}'],
+            ["gen", "--spec", '{"kind":"periodic","values":["1","2"]}'],
+            ["gen", "--spec", '{"kind":"simple","parts":[{"r":1.9,"m":2,"c":"5","x":1}]}'],
+            ["gen", "--spec", '{"kind":"simple","parts":[{"r":1.9,"m":2,"c":5}]}'],
+            ["gen", "--spec", '{"kind":"simple","parts":[{"r":1,"m":2,"c":"5"}]}'],
+            ["gen", "--spec", '{"kind":"simple","parts":[{"r":1,"m":2,"c":5,"x":1}]}'],
+            ["density", "--pred", '{"threshold":{"seq":{"kind":"vdc"},"lo":"0.25","hi":true}}',
+             "--grid", "1000", "--window", "1000"],
+            ["density", "--pred", '{"threshold":{"seq":{"kind":"vdc"},"hi":true}}',
+             "--grid", "1000", "--window", "1000"],
+            ["exp", "niven", "--config", json.dumps({"indices": [k + 0.5 for k in range(1000)]})],
         ],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, monkeypatch, capsys, argv):
@@ -583,6 +598,13 @@ class TestExitCodes:
     def test_list_rules_name_the_key(self, capsys, argv, message):
         assert main(argv) == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+
+    def test_integer_past_the_float_range_is_config_error(self, capsys):
+        # a float key given an integer that no double holds
+        config = '{"primes":3,"tolerance":1%s}' % ("0" * 400)
+        assert main(["exp", "clt", "--config", config]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad --config key tolerance: ")
 
     def test_density_ladder_need_not_be_a_chain(self, capsys):
         status, out = run_json(capsys, ["density", "--pred", "squares", "--ladder", "3,5",
@@ -933,6 +955,60 @@ def fuzz_config(draw):
     return config
 
 
+# (argv, spec): one valid spec per kind and form, every key given; a float key
+# holds a float and an int key an int, so that a fraction is wrong only for ints
+GEN, PRED, NIVEN = (["gen", "--n", "4", "--spec"],
+                    ["density", "--grid", "1000", "--window", "1000", "--pred"],
+                    ["exp", "niven", "--config"])
+VALID_SPECS = [
+    (GEN, {"kind": "vdc", "chain": {"ratio": 3, "levels": 2}}),
+    (GEN, {"kind": "vdc", "chain": {"factorial": 4}}),
+    (GEN, {"kind": "vdc", "chain": {"moduli": [1, 2, 6]}}),
+    (GEN, {"kind": "additive", "primes": {"2": 0.25, "3": 0.5}, "tail": 0.001}),
+    (GEN, {"kind": "simple", "parts": [{"r": 0, "m": 2, "c": 1.0}, {"r": 1, "m": 2, "c": 2.5}]}),
+    (GEN, {"kind": "periodic", "values": [0.5, 1.0, 0.25]}),
+    (GEN, {"kind": "uniform", "n": 7}),
+    (PRED, {"ap": {"r": 1, "m": 3}}),
+    (PRED, {"ap": [{"r": 1, "m": 3}, {"r": 0, "m": 4}]}),
+    (PRED, {"threshold": {"seq": {"kind": "vdc"}, "n": 1000, "lo": 0.25, "hi": 0.5}}),
+    *[(NIVEN, {"indices": {"kind": kind, "n": 1000}}) for kind in ("identity", "pair_swap", "even")],
+    (NIVEN, {"indices": list(range(1, 1001))}),
+]
+
+
+def _spec_argv(argv, spec):
+    return argv + [json.dumps(spec)]
+
+
+def _nodes(value):
+    """(container, key, item) for every value nested in `value`."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield value, key, item
+        if isinstance(item, (dict, list)):
+            yield from _nodes(item)
+
+
+@st.composite
+def corrupted_spec(draw):
+    """A valid spec with one key corrupted: a value of a wrong JSON type, an
+    undeclared key, or a non-integral number where an integer is due."""
+    argv, spec = draw(st.sampled_from(VALID_SPECS))
+    spec = json.loads(json.dumps(spec))
+    nodes = list(_nodes(spec))
+    how = draw(st.sampled_from(["type", "undeclared", "fraction"]))
+    ints = [(c, k, x) for c, k, x in nodes if type(x) is int]
+    if how == "undeclared":
+        draw(st.sampled_from([spec] + [x for _, _, x in nodes if isinstance(x, dict)]))["levles"] = 1
+    elif how == "fraction" and ints:
+        container, key, x = draw(st.sampled_from(ints))
+        container[key] = x + 0.5
+    else:  # not JSON null, which counts as an absent key
+        container, key, x = draw(st.sampled_from(nodes))
+        container[key] = draw(st.sampled_from([True, 3] if isinstance(x, str) else [True, "1"]))
+    return _spec_argv(argv, spec)
+
+
 def _strict_json(text: str):
     """json.loads that refuses NaN, Infinity and -Infinity, as RFC 8259 does."""
     def refuse(constant):
@@ -971,6 +1047,19 @@ class TestFuzz:
         assert status == 0
         if config["fmt"] == "json":
             assert _strict_json(stdout.getvalue()) == output
+
+    @pytest.mark.parametrize("argv, spec", VALID_SPECS)
+    def test_uncorrupted_specs_run(self, capsys, argv, spec):
+        assert main(_spec_argv(argv, spec)) == 0
+
+    @given(corrupted_spec())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_spec_key_is_config_error(self, argv):
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            assert main(argv) == 2, argv
+        err = stderr.getvalue().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), (argv, err)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1051,6 +1140,27 @@ def test_man_page_documents_the_table_flags():
             keys = {k.name for p in spec.params for k in p.keys}
             table[command, verb] = (flags, keys)
     assert _man_page_entries() == table
+
+
+def _spec_rows(path, keys):
+    """(spec, key, type, default) as the man page's SPECS table writes them."""
+    for p in keys:
+        kind = " or ".join(f"list of {p.items.__name__}" if t is list and p.items else t.__name__
+                           for t in p.types)
+        kind += "" if p.least is None else f" >= {p.least}"
+        kind += ", one of " + ", ".join(p.choices) if p.choices else ""
+        default = ("required" if p.required else "unset" if p.default is None
+                   else f"`{json.dumps(p.default)}`")
+        yield path, p.name, kind, default
+        yield from _spec_rows(f"{path} {p.name}", p.keys)
+
+
+def test_man_page_documents_the_spec_tables():
+    man = (ROOT / "docs" / "measeq.1.md").read_text()
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \| ([^|]+) \| ([^|]+) \|$", man, flags=re.M)
+    tables = [*((kind, keys) for kind, (keys, _) in cli._SEQUENCE_KINDS.items()),
+              ("predicate", cli._PRED_KEYS), ("index", cli._INDEX_KEYS)]
+    assert rows == [row for spec, keys in tables for row in _spec_rows(spec, keys)]
 
 
 def test_g_registry_reuses_the_test_family():

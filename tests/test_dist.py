@@ -481,8 +481,9 @@ class TestConvolution:
 
     def test_atom_cap(self):
         F = uniform_edf(3000)
-        with pytest.raises(CapacityError):
-            convolve_edf(F, F, max_atoms=1_000_000)
+        # 9e6 pairs exceed MAX_ATOMS; the refusal names both sizes and the cap
+        with pytest.raises(CapacityError, match=r"^3000 x 3000 atoms exceed the cap 4000000$"):
+            convolve_edf(F, F)
 
     @pytest.mark.parametrize("a, b", [(np.inf, -np.inf), (-np.inf, np.inf)])
     def test_opposite_infinite_atoms_are_a_domain_error(self, a, b):
