@@ -12,14 +12,14 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from decimal import Decimal
 from functools import cache
 from fractions import Fraction
 from math import isfinite, isinf, isnan
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, get_type_hints
+from typing import Callable
 
 import numpy as np
 
@@ -30,36 +30,6 @@ from . import polyadic as po
 from . import seqgen as sg
 from .csvtext import csv_text
 from .errors import ConfigError, DomainError, MeaseqError
-
-
-@dataclass
-class RunConfig:
-    """Everything needed to reproduce a run."""
-
-    command: str
-    verb: str | None = None
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
-    threads: int = 1
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"bad config field {name!r}: {value!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad config fields: {e}") from e
-
-
-_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _exact(q: Fraction) -> str:
@@ -212,8 +182,8 @@ class Param:
 
 @dataclass(frozen=True)
 class Verb:
-    """A verb's parameters and its handler: (resolved params, RunConfig) ->
-    (report, CSV series or None); a series is (header, columns)."""
+    """A verb's parameters and its handler: (resolved params, resolved run
+    config) -> (report, CSV series or None); a series is (header, columns)."""
 
     help: str
     params: tuple[Param, ...]
@@ -282,8 +252,8 @@ def _resolve(params: tuple[Param, ...], given: dict, where: str = "--") -> Simpl
 def _from_text(p: Param, text: str):
     """A command-line value as the JSON value that is echoed."""
     with _reading(p.label(), text):
-        if p.types == (int,):
-            return int(text)
+        if p.types in ((int,), (float,)):  # a bare number
+            return p.types[0](text)
         if p.items is float:
             return [float(x) for x in text.split(",")]
         if dict in p.types and (str not in p.types or text.lstrip().startswith(("{", "["))):
@@ -294,8 +264,18 @@ def _from_text(p: Param, text: str):
 # ---------------------------------------------------------------- spec tables
 
 
+# No level past the first modulus >= 2**1075 is ever read: a window reads only
+# the Q_j <= N, witness(eps) stops at the first 1/Q_j <= eps (and a float eps is
+# at least 5e-324 > 2**-1075), and a growth chain extends itself on demand. The
+# top moduli 2**1100 and 200! pass 2**1075, so longer chains would only cost time.
+_CHAIN_CAPS = {"levels": 1100, "factorial": 200}
+
+
 def _chain(c) -> sg.BaseChain:
     """A vdc chain: its `moduli` if given, else `factorial` levels, else geometric."""
+    for key, cap in _CHAIN_CAPS.items():
+        if (size := getattr(c, key)) is not None and size > cap:
+            raise ConfigError(f"bad vdc chain {key}: need at most {cap}, got {size}")
     if c.moduli is not None:
         return sg.BaseChain(tuple(c.moduli))
     if c.factorial is not None:
@@ -415,7 +395,7 @@ def _conv_seqs(args: argparse.Namespace, params: dict) -> list:
 # ------------------------------------------------------------------- handlers
 
 
-def _run_gen(v, cfg: RunConfig):
+def _run_gen(v, cfg):
     w = v.spec.window(v.n)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(w.values.mean())
@@ -430,7 +410,7 @@ def _run_gen(v, cfg: RunConfig):
     return report, ("n,value", [range(1, len(w) + 1), w.values])
 
 
-def _run_density(v, cfg: RunConfig):
+def _run_density(v, cfg):
     pred, apset = parse_predicate_spec(v.pred, max(v.grid[-1], v.window))
     tolerance = cfg.tolerance if cfg.tolerance is not None else 1e-3
     # first, so that an AP union past the inclusion-exclusion term limit refuses before the survey
@@ -461,22 +441,22 @@ def _run_density(v, cfg: RunConfig):
     return report, ("N,ratio", [est.window_grid, est.ratios])
 
 
-def _run_edf(v, cfg: RunConfig):
+def _run_edf(v, cfg):
     F = di.edf(v.seq.window(v.n))
     report = {"points": int(F.breakpoints.size), "mean": F.mean()}
     # breakpoints increase strictly, so F(x_i) = padded[i]: the masses shifted down a row
     return report, ("x,mass_below,mass_upto", [F.breakpoints, F.padded[:-1], F.cum])
 
 
-def _run_moments(v, cfg: RunConfig):
+def _run_moments(v, cfg):
     return asdict(di.moments(v.seq.window(v.n))), None
 
 
-def _run_corr(v, cfg: RunConfig):
+def _run_corr(v, cfg):
     return di.correlation(v.seq.window(v.n), v.seq2.window(v.n))._asdict(), None
 
 
-def _run_indep(v, cfg: RunConfig):
+def _run_indep(v, cfg):
     a, b = v.seq.window(v.n), v.seq2.window(v.n)
     threshold = cfg.tolerance if cfg.tolerance is not None else 0.02
     if v.kind == "interval":
@@ -494,7 +474,7 @@ def _run_indep(v, cfg: RunConfig):
     return report, ("g,g1,deviation", list(zip(*rep.table)))
 
 
-def _run_conv(v, cfg: RunConfig):
+def _run_conv(v, cfg):
     G = di.convolve_edf(*(di.edf(h.window(v.n)) for h in v.seqs))
     report = {
         "atoms": int(G.breakpoints.size),
@@ -504,7 +484,7 @@ def _run_conv(v, cfg: RunConfig):
     return report, None
 
 
-def _run_polyadic_dist(v, cfg: RunConfig):
+def _run_polyadic_dist(v, cfg):
     d = po.polyadic_distance(v.a, v.b)
     exact = _exact(d)
     value = float(d)
@@ -518,7 +498,7 @@ def _run_polyadic_dist(v, cfg: RunConfig):
     return report, None
 
 
-def _run_profile(v, cfg: RunConfig):
+def _run_profile(v, cfg):
     prof = po.p_continuity_profile(v.seq, v.eps, v.ladder, window_N=v.window)
     report = {
         "witnesses": {str(e): m for e, m in prof.pairs},
@@ -529,13 +509,13 @@ def _run_profile(v, cfg: RunConfig):
     return report, None
 
 
-def _run_integrate(v, cfg: RunConfig):
+def _run_integrate(v, cfg):
     trace = po.haar_integral(v.seq, v.ladder)
     report = {"value": trace.value, "levels": list(trace.levels)}
     return report, ("level,mean", [trace.levels, trace.means])
 
 
-def _run_sample(v, cfg: RunConfig):
+def _run_sample(v, cfg):
     return asdict(po.sample_omega(cfg.seed, v.levels)), None
 
 
@@ -547,18 +527,16 @@ def _members(c) -> int | None:
 
 
 def _family(c):
-    if c.primes is not None:
-        return ex.vdc_family_primes(c.primes)
-    if c.bases is not None:
-        return ex.vdc_family(c.bases)
-    raise ConfigError("experiment config needs 'primes' or 'bases'")
+    if (c.primes is None) == (c.bases is None):
+        raise ConfigError("experiment config needs one of 'primes' and 'bases'")
+    return ex.vdc_family(c.bases) if c.primes is None else ex.vdc_family_primes(c.primes)
 
 
 def _experiment(help: str, header: str | None, keys: tuple[Param, ...], run: Callable) -> Verb:
     """An `exp` verb taking a config object with `keys`; `run(config, cfg)`
     gives an ExperimentReport, whose trace rows are the series under `header`."""
 
-    def handler(v, cfg: RunConfig):
+    def handler(v, cfg):
         rep = run(v.config, cfg)
         report = asdict(rep)
         del report["trace"]
@@ -676,13 +654,29 @@ def _verb(command: str, verb: str | None) -> Verb:
     return verbs[verb]
 
 
-def run(cfg: RunConfig) -> tuple[int, dict]:
-    """Validate and dispatch a config; returns (exit_status, full_output_dict)."""
+# the global flags, echoed beside the command, verb and params of a run config
+_SETTINGS = (
+    Param("seed", (int,), "seed for sampling runs", default=0),
+    Param("out", (str,), "output path; JSON there, CSV series beside it"),
+    Param("fmt", (str,), "what stdout gets without --out", default="json",
+          choices=("json", "csv"), flags={"--format": dict(dest="fmt", metavar="{json,csv}")}),
+    Param("threads", (int,), "worker cap (echoed; execution is serial)", default=1),
+    Param("tolerance", (float,), "override for verdict tolerances"),
+)
+_CONFIG = (
+    Param("command", (str,), "command to run", required=True),
+    Param("verb", (str,), "verb of the command"),
+    Param("params", (dict,), "verb parameters", default={}),
+    *_SETTINGS,
+)
+
+
+def run(config: dict) -> tuple[int, dict]:
+    """Validate and dispatch an echoed run config; returns (exit_status, output_dict)."""
+    cfg = _resolve(_CONFIG, _typed(config, (dict,), "run config"), "config key ")
     spec = _verb(cfg.command, cfg.verb)
-    if cfg.fmt not in ("json", "csv"):
-        raise ConfigError(f"unknown format {cfg.fmt!r}")
     report, series = spec.run(_resolve(spec.params, cfg.params), cfg)
-    output = {"config": asdict(cfg), "report": _jsonable(report)}
+    output = {"config": vars(cfg), "report": _jsonable(report)}
     _emit(cfg, output, series)
     return 0, output
 
@@ -701,7 +695,7 @@ def _non_finite(obj, path: str = "") -> str | None:
     return next(filter(None, (_non_finite(v, at) for at, v in items)), None)
 
 
-def _emit(cfg: RunConfig, output: dict, series) -> None:
+def _emit(cfg, output: dict, series) -> None:
     try:
         text = json.dumps(output, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
@@ -728,6 +722,13 @@ def _emit(cfg: RunConfig, output: dict, series) -> None:
 # ------------------------------------------------------------------- argparse
 
 
+def _add_flags(parser: argparse.ArgumentParser, params: tuple[Param, ...]) -> None:
+    for p in params:
+        text = f"{p.help} (required)" if p.required else p.help
+        for flag, kwargs in p.cli_flags().items():
+            parser.add_argument(flag, **{"help": text, **kwargs})
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -735,57 +736,51 @@ def _build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for sampling runs")
-    ap.add_argument("--out", help="output path; JSON there, CSV series beside it")
-    ap.add_argument("--format", default="json", choices=("json", "csv"))
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker cap (propagated; execution is currently serial)")
-    ap.add_argument("--tolerance", type=float, default=None,
-                    help="override for verdict tolerances")
+    _add_flags(ap, _SETTINGS)
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (text, verbs) in _COMMANDS.items():
         parser = sub.add_parser(command, help=text)
         if None not in verbs:
             by_verb = parser.add_subparsers(dest="verb", required=True)
         for verb, spec in verbs.items():
-            vp = parser if verb is None else by_verb.add_parser(verb, help=spec.help)
-            for p in spec.params:
-                text = f"{p.help} (required)" if p.required else p.help
-                for flag, kwargs in p.cli_flags().items():
-                    vp.add_argument(flag, **{"help": text, **kwargs})
+            _add_flags(parser if verb is None else by_verb.add_parser(verb, help=spec.help),
+                       spec.params)
     rr = sub.add_parser("rerun", help="replay an echoed config bit-identically")
     rr.add_argument("file", help="JSON output (or bare config) from a previous run")
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    verb = getattr(args, "verb", None)
-    params: dict = {}
-    for p in _verb(args.command, verb).params:
+def _echoed(params: tuple[Param, ...], args: argparse.Namespace) -> dict:
+    """The values of `params` that the command line gives, as they are echoed."""
+    given: dict = {}
+    for p in params:
         if p.read is not None:
-            params[p.name] = p.read(args, params)
+            given[p.name] = p.read(args, given)
         elif getattr(args, p.name) is not None:
-            params[p.name] = _from_text(p, getattr(args, p.name))
+            given[p.name] = _from_text(p, getattr(args, p.name))
         elif p.echo:
-            params[p.name] = p.default
-    return RunConfig(
-        args.command, verb, params, seed=args.seed, out=args.out, fmt=args.format,
-        threads=args.threads, tolerance=args.tolerance,
-    )
+            given[p.name] = p.default
+    return given
 
 
-def _read_rerun(file: str) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> dict:
+    verb = getattr(args, "verb", None)
+    params = _echoed(_verb(args.command, verb).params, args)
+    return {"command": args.command, "verb": verb, "params": params, **_echoed(_SETTINGS, args)}
+
+
+def _read_rerun(file: str):
     with _reading("rerun file", file):
         payload = json.loads(Path(file).read_text())
     payload = _typed(payload, (dict,), f"rerun file {file}")
-    return RunConfig.from_dict(payload.get("config", payload))
+    return payload.get("config", payload)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _read_rerun(args.file) if args.command == "rerun" else _config_from_args(args)
-        status, _ = run(cfg)
+        config = _read_rerun(args.file) if args.command == "rerun" else _config_from_args(args)
+        status, _ = run(config)
         return status
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

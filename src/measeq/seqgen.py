@@ -158,7 +158,9 @@ class VdcSequence:
         if eps <= 0:
             return None
         chain = self.chain
-        while chain.capacity < 1 / eps:
+        # the test that picks the modulus below: 1 / q underflows to 0.0 for a
+        # huge q, where 1 / eps would overflow to inf for a subnormal eps
+        while 1 / chain.capacity > eps:
             if chain.growth is None:
                 return None
             chain = chain.extended()

@@ -66,6 +66,13 @@ class TestGen:
         status, out = run_json(capsys, ["gen", "--spec", spec, "--n", "1000"])
         assert out["report"]["mean"] == pytest.approx(1.5, abs=1e-9)
 
+    def test_chains_at_the_caps_give_the_same_window(self):
+        window = [cli.parse_sequence_spec({"kind": "vdc", "chain": chain}).window(50_000).values
+                  for chain in ({"factorial": 9}, {"factorial": 200})]
+        assert np.array_equal(*window)
+        geometric = cli.parse_sequence_spec({"kind": "vdc", "chain": {"levels": 1100}})
+        assert geometric.window(4).values.tolist() == [0.5, 0.25, 0.75, 0.125]
+
 
 class TestDensity:
     def test_ap_quarter(self, capsys):
@@ -248,6 +255,12 @@ BAD_RERUNS = {
     "n-list.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}, "n": [1]}},
     "undeclared.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}, "m": 1}},
     "list.json": [1, 2],
+    # the run config itself: its keys are declared and typed as verb parameters are
+    "setting-undeclared.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}}, "x": 1},
+    "setting-fmt.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}}, "fmt": "xml"},
+    "setting-threads.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}}, "threads": "2"},
+    "setting-seed.json": {"command": "gen", "params": {"spec": {"kind": "vdc"}}, "seed": True},
+    "config-list.json": {"config": [1]},
 }
 
 
@@ -570,6 +583,20 @@ class TestExitCodes:
             ["density", "--pred", '{"threshold":{"seq":{"kind":"vdc"},"hi":true}}',
              "--grid", "1000", "--window", "1000"],
             ["exp", "niven", "--config", json.dumps({"indices": [k + 0.5 for k in range(1000)]})],
+            ["exp", "clt", "--config", '{"primes":3,"bases":[2,5],"n":2000}'],
+            # chains past the first modulus >= 2**1075, whose extra levels no run reads
+            ["gen", "--spec", '{"kind":"vdc","chain":{"ratio":10,"levels":100000}}', "--n", "3"],
+            ["gen", "--spec", '{"kind":"vdc","chain":{"levels":1101}}', "--n", "3"],
+            ["gen", "--spec", '{"kind":"vdc","chain":{"factorial":201}}', "--n", "3"],
+            ["rerun", "setting-undeclared.json"],
+            ["rerun", "setting-fmt.json"],
+            ["rerun", "setting-threads.json"],
+            ["rerun", "setting-seed.json"],
+            ["rerun", "config-list.json"],
+            ["--seed", "x", "gen", "--spec", '{"kind":"vdc"}'],
+            ["--threads", "1.5", "gen", "--spec", '{"kind":"vdc"}'],
+            ["--tolerance", "x", "gen", "--spec", '{"kind":"vdc"}'],
+            ["--format", "xml", "gen", "--spec", '{"kind":"vdc"}'],
         ],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, monkeypatch, capsys, argv):
@@ -611,6 +638,16 @@ class TestExitCodes:
                                         "--grid", "1e3..4e3", "--window", "4000"])
         assert status == 0
         assert out["report"]["measurability"]["levels"] == [3, 5]
+
+    @pytest.mark.parametrize("setting, echoed", [({"tolerance": 1}, {"tolerance": 1.0}),
+                                                  ({"seed": 1.0}, {"seed": 1})])
+    def test_rerun_settings_take_numbers_as_params_do(self, tmp_path, capsys, setting, echoed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "gen", "params": {"spec": {"kind": "vdc"}}, **setting}))
+        status, out = run_json(capsys, ["rerun", str(path)])
+        assert status == 0
+        assert out["config"] == _config("gen", None, {"spec": {"kind": "vdc"}}, out=None, **echoed)
+        assert [type(out["config"][k]) for k in echoed] == [type(v) for v in echoed.values()]
 
     def test_rerun_checks_the_levels_chain(self, tmp_path, capsys):
         path = tmp_path / "levels.json"
@@ -949,9 +986,13 @@ def fuzz_config(draw):
     config = {"command": draw(st.sampled_from([command] * 7 + ["nope"])),
               "verb": draw(st.sampled_from([verb] * 6 + [None, "nope"])),
               "params": draw(fuzz_params(cli._COMMANDS[command][1][verb].params)),
-              "seed": draw(INTS), "fmt": draw(st.sampled_from(["json"] * 3 + ["csv", "xml"]))}
+              "seed": draw(INTS), "fmt": draw(st.sampled_from(["json"] * 3 + ["csv", "xml"])),
+              "threads": draw(st.one_of(SMALL, JUNK)),
+              "out": draw(st.sampled_from([None, "", "run.json", "sub/run.json", 3]))}
     if draw(st.booleans()):
         config["tolerance"] = draw(st.one_of(st.none(), st.floats(0, 1), NUMBERS))
+    if draw(st.integers(0, 15)) == 7:
+        config["undeclared"] = 1
     return config
 
 
@@ -1037,16 +1078,19 @@ class TestFuzz:
     # a run that computes, with a NaN tolerance for the config echo
     @example({"command": "gen", "verb": None, "params": {"spec": {"kind": "vdc"}, "n": 10},
               "seed": 0, "fmt": "json", "tolerance": float("nan")})
-    def test_run_returns_or_refuses(self, config):
+    def test_run_returns_or_refuses(self, tmp_path_factory, config):
         stdout = io.StringIO()
-        try:
-            with redirect_stdout(stdout):
-                status, output = cli.run(cli.RunConfig.from_dict(config))
-        except MeaseqError:
-            return
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(stdout):
+            mp.chdir(tmp_path_factory.mktemp("run"))  # where a relative "out" is written
+            try:
+                status, output = cli.run(config)
+            except MeaseqError:
+                return
+            out = config.get("out")
+            text = Path(out).read_text() if out else stdout.getvalue()
         assert status == 0
-        if config["fmt"] == "json":
-            assert _strict_json(stdout.getvalue()) == output
+        if out or config["fmt"] == "json":
+            assert _strict_json(text) == output
 
     @pytest.mark.parametrize("argv, spec", VALID_SPECS)
     def test_uncorrupted_specs_run(self, capsys, argv, spec):
@@ -1140,6 +1184,15 @@ def test_man_page_documents_the_table_flags():
             keys = {k.name for p in spec.params for k in p.keys}
             table[command, verb] = (flags, keys)
     assert _man_page_entries() == table
+
+
+def test_man_page_documents_the_settings():
+    man = (ROOT / "docs" / "measeq.1.md").read_text()
+    section = man.split("## GLOBAL FLAGS", 1)[1].split("\n## ", 1)[0]
+    entries = re.findall(r"^`(--[\w-]+)[^`\n]*`\n: ([^;\n]+); default ([^.\n]+)\.", section,
+                         flags=re.M)
+    assert entries == [(next(iter(p.cli_flags())), kind, default)
+                       for p in cli._SETTINGS for _, _, kind, default in _spec_rows("", (p,))]
 
 
 def _spec_rows(path, keys):

@@ -1,5 +1,6 @@
 """Generator tests with independent digit/factorization oracles."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
@@ -199,6 +200,17 @@ class TestVdc:
         handle = VdcSequence(BaseChain.geometric(2, 1))
         assert handle.witness(1 / 8) == 8
         assert handle.witness(0.3) == 4
+
+    @pytest.mark.parametrize("chain, eps, want, before", [
+        (BaseChain.geometric(2, 1), 5e-324, 2**1074, 2**1073),
+        (BaseChain.geometric(2, 1), 1e-320, 2**1064, 2**1063),
+        (BaseChain.factorial(3), 5e-324, math.factorial(178), math.factorial(177)),
+        (BaseChain.factorial(3), 1e-320, math.factorial(176), math.factorial(175)),
+    ])
+    def test_witness_of_a_subnormal_eps(self, chain, eps, want, before):
+        # 1 / eps overflows to inf; the chain grows until 1 / m <= eps
+        assert VdcSequence(chain).witness(eps) == want
+        assert Fraction(1, want) <= Fraction(eps) < Fraction(1, before)
 
 
 class TestAdditive:
