@@ -105,7 +105,7 @@ def parse_chain(text: str) -> tuple[int, ...]:
     """A ladder that increases by divisibility, as `sample_omega` needs."""
     levels = parse_ladder(text)
     with _reading("levels", text):
-        po.ladder_steps(levels)
+        sg.ladder_steps(levels)
     return levels
 
 
@@ -264,10 +264,10 @@ def _from_text(p: Param, text: str):
 # ---------------------------------------------------------------- spec tables
 
 
-# No level past the first modulus >= 2**1075 is ever read: a window reads only
-# the Q_j <= N, witness(eps) stops at the first 1/Q_j <= eps (and a float eps is
-# at least 5e-324 > 2**-1075), and a growth chain extends itself on demand. The
-# top moduli 2**1100 and 200! pass 2**1075, so longer chains would only cost time.
+# The accepted range of chain sizes, as measeq(1) documents it. A growth chain
+# stores no level past its first modulus >= 2**1075 (1 / q is 0.0 from there
+# on), which the chains at the caps, up to 2**1100 and 200!, already reach: a
+# larger size would change no value and no witness.
 _CHAIN_CAPS = {"levels": 1100, "factorial": 200}
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .density import APSet, FACTORIAL_LADDER
 from .errors import ContinuityBudgetError, DiagnosticError, DomainError, ResolutionError
 from .primes import divisors
-from .seqgen import CallableSequence, PeriodicTable, SequenceWindow
+from .seqgen import CallableSequence, PeriodicTable, SequenceWindow, ladder_steps
 
 
 def int_text(n: int) -> str:
@@ -70,15 +70,6 @@ def polyadic_distance(a: int, b: int) -> DyadicRational:
         return DyadicRational(0, 0)
     num = (1 << d) - sum(1 << (d - n) for n in divisors(d))
     return DyadicRational(num, d)
-
-
-def ladder_steps(levels: Sequence[int]) -> tuple[int, ...]:
-    """Step ratios b // a of a ladder that increases by divisibility; ValueError
-    at the first step that does not."""
-    for a, b in zip(levels, levels[1:]):
-        if b <= a or b % a:
-            raise ValueError(f"levels must increase by divisibility ({a} -> {b})")
-    return tuple(b // a for a, b in zip(levels, levels[1:]))
 
 
 def _dividing_level(levels: Sequence[int], m: int) -> int:

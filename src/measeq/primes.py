@@ -36,16 +36,24 @@ def first_primes(count: int) -> list[int]:
     return [int(p) for p in ps[:count]]
 
 
+# Miller-Rabin to the prime bases 2..41 decides primality exactly below
+# _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson & Webster,
+# Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Primality of n by deterministic Miller-Rabin; ValueError for n >= _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: need n < {_MR_LIMIT}")
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        f += 2
     return True
 
 

@@ -6,7 +6,8 @@ Every sequence kind is one class with `eval(n)` at any index n >= 0,
 `window(N)`, the immutable finite `SequenceWindow` v(1..N), and `witness(eps)`,
 a modulus whose congruence classes pin the values within eps (None when the
 class knows none); the polyadic module relies on these three.  A window holds
-its values and bounds only.
+its values and bounds only, and a sequence handle never changes when it is
+read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf, isnan, isqrt, lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,16 +30,26 @@ from .errors import (
 from .primes import distinct_prime_factors, is_prime, prime_mask, primes_upto
 
 # spec keys in [0, this] are checked against one sieve (at most 16 MB of
-# flags), other keys by trial division
+# flags), other keys by `is_prime`
 _SPEC_SIEVE_LIMIT = 1 << 24
+
+
+def ladder_steps(levels: Sequence[int]) -> tuple[int, ...]:
+    """Step ratios b // a of a ladder that increases by divisibility; ValueError
+    at the first step that does not."""
+    for a, b in zip(levels, levels[1:]):
+        if b <= a or b % a:
+            raise ValueError(f"levels must increase by divisibility ({a} -> {b})")
+    return tuple(b // a for a, b in zip(levels, levels[1:]))
 
 
 @dataclass(frozen=True)
 class BaseChain:
     """Divisibility chain 1 = Q_0 | Q_1 | ... | Q_K of strictly increasing moduli.
 
-    `growth` ("geometric" with `ratio`, or "factorial") lets windows extend
-    the stored truncation on demand.
+    `growth` ("geometric" with `ratio`, or "factorial") lets readers grow the
+    stored truncation on demand; its constructors store no level past the
+    first modulus >= 2**1075, as 1 / q is 0.0 from there on.
     """
 
     moduli: tuple[int, ...]
@@ -46,47 +57,41 @@ class BaseChain:
     ratio: int | None = None
 
     def __post_init__(self):
-        q = self.moduli
-        if not q or q[0] != 1:
+        if not self.moduli or self.moduli[0] != 1:
             raise ValueError("chain must start at Q_0 = 1")
-        for a, b in zip(q, q[1:]):
-            if b <= a or b % a:
-                raise ValueError(f"chain must strictly increase by divisibility ({a} -> {b})")
+        ladder_steps(self.moduli)
         if self.growth == "geometric" and (self.ratio is None or self.ratio < 2):
             raise ValueError("geometric growth needs an integer ratio >= 2")
 
     @classmethod
     def geometric(cls, ratio: int, levels: int) -> "BaseChain":
-        return cls(
-            tuple(ratio**k for k in range(levels + 1)), growth="geometric", ratio=ratio
-        )
+        if levels < 0:
+            raise ValueError("chain levels must be >= 0")
+        return cls((1,), "geometric", ratio)._grown(
+            lambda q: len(q) > levels or q[-1] >= 2**1075)
 
     @classmethod
     def factorial(cls, levels: int) -> "BaseChain":
-        moduli = [1]
-        for k in range(2, levels + 1):
-            moduli.append(moduli[-1] * k)
-        return cls(tuple(moduli), growth="factorial")
+        return cls((1,), "factorial")._grown(lambda q: len(q) >= levels or q[-1] >= 2**1075)
+
+    def _grown(self, done: Callable[[list[int]], bool]) -> "BaseChain":
+        """The chain with levels appended by its growth rule until `done(moduli)`;
+        itself when that already holds."""
+        q = list(self.moduli)
+        while not done(q):
+            if self.growth is None:
+                raise CapacityError("chain has no growth rule to extend with")
+            # a factorial chain holds 1!, ..., K!; K = len(q)
+            q.append(q[-1] * (self.ratio if self.growth == "geometric" else len(q) + 1))
+        return self if len(q) == len(self.moduli) else BaseChain(tuple(q), self.growth, self.ratio)
 
     @property
     def capacity(self) -> int:
         return self.moduli[-1]
 
-    def extended(self) -> "BaseChain":
-        """The chain with one more level from its growth rule."""
-        if self.growth is None:
-            raise CapacityError("chain has no growth rule to extend with")
-        q = self.moduli
-        # a factorial chain holds 1!, ..., K!; K = len(q)
-        step = self.ratio if self.growth == "geometric" else len(q) + 1
-        return BaseChain((*q, q[-1] * step), self.growth, self.ratio)
-
     def ensure_capacity(self, n: int) -> "BaseChain":
-        """A chain (possibly extended) whose digit expansion closes for n."""
-        chain = self
-        while chain.capacity <= n:
-            chain = chain.extended()
-        return chain
+        """The shortest growth of the chain whose digit expansion closes for n."""
+        return self._grown(lambda q: q[-1] > n)
 
     def digits(self, n: int) -> list[int]:
         """Mixed-radix digits a_j of n = sum a_j Q_j with 0 <= a_j < Q_{j+1}/Q_j."""
@@ -110,26 +115,24 @@ def gen_vdc(n: int, chain: BaseChain) -> float:
     return float(sum(a / chain.moduli[j + 1] for j, a in enumerate(digits)))
 
 
+@dataclass(frozen=True)
 class VdcSequence:
     """The radical-inverse sequence over a chain.
 
-    Evaluation grows the chain on demand (given a growth rule); congruence
-    mod Q_j pins the first j digits, so values of a congruence class differ
-    by less than 1/Q_j.
+    Each read grows the chain as far as it needs (given a growth rule) and
+    leaves `chain` as given; congruence mod Q_j pins the first j digits, so
+    values of a congruence class differ by less than 1/Q_j.
     """
 
-    def __init__(self, chain: BaseChain):
-        self.chain = chain
+    chain: BaseChain
 
     def eval(self, n: int) -> float:
-        self.chain = self.chain.ensure_capacity(n)
-        return gen_vdc(n, self.chain)
+        return gen_vdc(n, self.chain.ensure_capacity(n))
 
     def values_at(self, ns: np.ndarray) -> np.ndarray:
         """Values at an int64 array of indices n >= 0, one pass per chain digit."""
         top = int(ns.max()) if ns.size else 0
-        self.chain = self.chain.ensure_capacity(top)
-        q = self.chain.moduli
+        q = self.chain.ensure_capacity(top).moduli
         vals = np.zeros(ns.shape, dtype=float)
         for j in range(len(q) - 1):
             if q[j] > top:
@@ -143,8 +146,7 @@ class VdcSequence:
         (0 <= m < Q_j, 0 <= a < Q_{j+1} / Q_j): each level with Q_j <= N repeats
         the values so far once per digit a. The additions are those of
         `values_at`, in its order, so the values are the same bit for bit."""
-        self.chain = self.chain.ensure_capacity(N)
-        q = self.chain.moduli
+        q = self.chain.ensure_capacity(N).moduli
         vals = np.zeros(1)
         for j in range(len(q) - 1):
             if q[j] > N:
@@ -157,24 +159,17 @@ class VdcSequence:
         """Smallest chain modulus m with 1/m <= eps."""
         if eps <= 0:
             return None
-        chain = self.chain
-        # the test that picks the modulus below: 1 / q underflows to 0.0 for a
+        # grown by the test that picks the modulus: 1 / q underflows to 0.0 for a
         # huge q, where 1 / eps would overflow to inf for a subnormal eps
-        while 1 / chain.capacity > eps:
-            if chain.growth is None:
-                return None
-            chain = chain.extended()
-        self.chain = chain
-        for q in chain.moduli:
-            if 1 / q <= eps:
-                return q
-        return None
+        chain = self.chain if self.chain.growth is None else self.chain._grown(
+            lambda q: 1 / q[-1] <= eps)
+        return next((q for q in chain.moduli if 1 / q <= eps), None)
 
 
 def _prime_flags(keys: list[int]):
     """Primality of each key of an ascending list, lazily: keys in
     [0, _SPEC_SIEVE_LIMIT] from one sieve up to the largest of them, the
-    others by trial division."""
+    others by `is_prime`."""
     lo, hi = bisect_left(keys, 0), bisect_right(keys, _SPEC_SIEVE_LIMIT)
     sieved = prime_mask(keys[hi - 1])[keys[lo:hi]].tolist() if hi > lo else []
     return itertools.chain(map(is_prime, keys[:lo]), sieved, map(is_prime, keys[hi:]))

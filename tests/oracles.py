@@ -19,7 +19,7 @@ from measeq.dist import _default_grid
 from measeq.errors import DiagnosticError, GateError, SpecificationError
 from measeq.experiments import INDEP_THRESHOLD
 from measeq.polyadic import extend_eval, sample_omega
-from measeq.primes import is_prime, primes_upto
+from measeq.primes import primes_upto
 
 
 def mean_oracle(vals):
@@ -306,6 +306,11 @@ def csv_lines_oracle(header, rows):
     for row in rows:
         lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
     return lines
+
+
+def is_prime(n):
+    # trial division, independent of the Miller-Rabin test of measeq.primes
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def additive_spec_oracle(items):

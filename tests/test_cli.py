@@ -73,6 +73,18 @@ class TestGen:
         geometric = cli.parse_sequence_spec({"kind": "vdc", "chain": {"levels": 1100}})
         assert geometric.window(4).values.tolist() == [0.5, 0.25, 0.75, 0.125]
 
+    def test_large_ratio_stores_no_level_past_2_to_1075(self, capsys):
+        # 10**600 is the first modulus past 2**1075; the 1,098 levels above it
+        # are neither built nor read
+        spec = {"kind": "vdc", "chain": {"ratio": 10**300, "levels": 1100}}
+        assert cli.parse_sequence_spec(spec).chain.moduli == (1, 10**300, 10**600)
+        csv = []
+        for levels in (1100, 4):
+            spec["chain"]["levels"] = levels
+            assert main(["--format", "csv", "gen", "--spec", json.dumps(spec), "--n", "3"]) == 0
+            csv.append(capsys.readouterr().out)
+        assert csv[0] == csv[1]
+
 
 class TestDensity:
     def test_ap_quarter(self, capsys):
@@ -606,6 +618,20 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("key, status, out, err", [
+        (2**61 - 1, 0, "n,value\n1,0.0\n2,0.5\n3,0.2\n", ""),
+        ((2**31 - 1) * (2**31 + 11), 1, "",
+         "run refused: 4611686039902224373 is not prime\n"),
+        (10**25 + 13, 2, "", "config error: bad sequence spec {'kind': 'additive', 'primes': "
+         "{'2': 0.5, '3': 0.2, '10000000000000000000000013': 0.25}}: cannot decide whether "
+         "10000000000000000000000013 is prime: need n < 3317044064679887385961981\n"),
+    ])
+    def test_additive_key_past_the_sieve(self, capsys, key, status, out, err):
+        # keys above 2**24 go to Miller-Rabin, which is exact below 3.3e24
+        spec = '{"kind":"additive","primes":{"2":0.5,"3":0.2,"%d":0.25}}' % key
+        assert main(["--format", "csv", "gen", "--spec", spec, "--n", "3"]) == status
+        assert capsys.readouterr() == (out, err)
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,5 +1,6 @@
 """Generator tests with independent digit/factorization oracles."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -212,6 +213,43 @@ class TestVdc:
         assert VdcSequence(chain).witness(eps) == want
         assert Fraction(1, want) <= Fraction(eps) < Fraction(1, before)
 
+    @pytest.mark.parametrize("chain", [
+        BaseChain.geometric(2, 1), BaseChain.factorial(3), BaseChain((1, 2, 6, 12, 60)),
+    ])
+    def test_reads_leave_the_chain_as_given(self, chain):
+        handle = VdcSequence(chain)
+        handle.eval(59)
+        handle.values_at(np.arange(60))
+        handle.window(59)
+        handle.witness(1e-300)
+        assert handle.chain is chain and handle.chain == chain
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            handle.chain = BaseChain.geometric(2, 9)
+
+    @given(st.integers(2, 2**80), st.integers(0, 1200), st.integers(0, 2**1100))
+    def test_growth_rules(self, r, levels, n):
+        # Q_k = r**k and (k + 1)!, stored for k <= levels up to the first
+        # modulus >= 2**1075; ensure_capacity(n) is the shortest growth past n
+        for chain, rule in ((BaseChain.geometric(r, levels), lambda k: r**k),
+                            (BaseChain.factorial(levels + 1), lambda k: math.factorial(k + 1))):
+            stored = [1]
+            while len(stored) <= levels and stored[-1] < 2**1075:
+                stored.append(rule(len(stored)))
+            assert chain.moduli == tuple(stored)
+            grown = chain.ensure_capacity(n).moduli
+            assert grown == tuple(map(rule, range(len(grown))))
+            assert len(grown) >= len(stored) and grown[-1] > n
+            assert len(grown) == len(stored) or grown[-2] <= n
+
+    def test_growth_chains_stop_at_the_first_modulus_past_2_to_1075(self):
+        assert BaseChain.geometric(2, 1100).moduli == tuple(2**k for k in range(1076))
+        assert BaseChain.factorial(200).moduli == tuple(
+            math.factorial(k) for k in range(1, 179))
+
+    def test_negative_geometric_levels_are_a_value_error(self):
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            BaseChain.geometric(2, -1)
+
 
 class TestAdditive:
     def test_empty_sum_at_one(self):
@@ -354,6 +392,32 @@ class TestAdditive:
             got = spec_outcome(items)
         assert got == (message or ((2, 0.5), (key, 0.25)))
         assert [c.args for c in sieve.call_args_list] == [(2,)]
+
+
+class TestIsPrime:
+    def test_agrees_with_the_sieve(self):
+        assert [primes.is_prime(n) for n in range(200_001)] == primes.prime_mask(200_000).tolist()
+
+    @given(st.integers(2**24, 2**34 - 1))
+    def test_agrees_with_trial_division(self, n):
+        assert primes.is_prime(n) == oracles.is_prime(n)
+
+    @pytest.mark.parametrize("n", [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # to the bases 2, ..., 23
+        318665857834031151167461,  # to the bases 2, ..., 37
+        (2**31 - 1) * (2**31 + 11),  # two primes, each past the sieve limit
+    ])
+    def test_composites_are_not_prime(self, n):
+        assert not primes.is_prime(n)
+
+    def test_mersenne_prime(self):
+        assert primes.is_prime(2**61 - 1)
+
+    def test_past_the_exact_range_is_a_value_error(self):
+        assert not primes.is_prime(3_317_044_064_679_887_385_961_981 - 2)
+        with pytest.raises(ValueError, match="cannot decide whether"):
+            primes.is_prime(3_317_044_064_679_887_385_961_981)
 
 
 class TestSimple:
