@@ -9,7 +9,6 @@ on inputs that fail them; reports are bit-reproducible given the same seed.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Sequence
@@ -28,6 +27,7 @@ from .errors import (
 from .polyadic import (
     FACTORIAL_LADDER,
     _dividing_level,
+    _uniform_digits,
     _witness,
     weak_continuity_profile,
 )
@@ -387,12 +387,10 @@ def metric_ud_experiment(
         if m > MAX_MODULUS:  # residues mod m reach `values_at` as int64
             raise ResolutionError(f"witness modulus {m} for eps={EVAL_EPS} exceeds 2**63 - 1")
         members.append((h, m, k))
-    # point i is `sample_omega(seed * 1_000_003 + i, levels)`, drawn up to the
-    # deepest level a member reads: one digit d_j per level, and the residue at
-    # level k is the sum of d_j * product**j over j <= k
+    # point i is `sample_omega(seed * 1_000_003 + i, levels)` up to the deepest
+    # level a member reads
     count = max((k + 1 for _, _, k in members), default=0)
-    rngs = (random.Random(seed * 1_000_003 + i) for i in range(n_alphas))
-    digits = [[rng.randrange(product) for _ in range(count)] for rng in rngs]
+    digits = [_uniform_digits(seed * 1_000_003 + i, [product] * count) for i in range(n_alphas)]
     # each term is `extend_eval(h, alpha, EVAL_EPS)`: h at the residue mod its witness
     residues = _member_residues(digits, [(m, k) for _, m, k in members], product)
     for t, ((h, _, _), rs) in enumerate(zip(members, residues)):

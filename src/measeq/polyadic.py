@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from math import isfinite
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,14 +111,15 @@ def sample_omega(seed: int, ladder: Sequence[int]) -> OmegaPoint:
     The first residue is uniform mod the first level; each refinement adds a
     uniform digit, so every class s + (m) at level m has probability 1/m.
     """
-    rng = random.Random(seed)
     levels = tuple(int(m) for m in ladder)
-    r = rng.randrange(levels[0])
-    residues = [r]
-    for prev, step in zip(levels, ladder_steps(levels)):
-        r = r + prev * rng.randrange(step)
-        residues.append(r)
-    return OmegaPoint(levels, tuple(residues))
+    digits = _uniform_digits(seed, (levels[0], *ladder_steps(levels)))
+    return OmegaPoint(levels, tuple(accumulate(q * d for q, d in zip((1,) + levels, digits))))
+
+
+def _uniform_digits(seed: int, radices: Iterable[int]) -> list[int]:
+    """One uniform digit in range(r) per radix r, in order, from random.Random(seed)."""
+    rng = random.Random(seed)
+    return [rng.randrange(r) for r in radices]
 
 
 def _handle(v):

@@ -57,21 +57,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def distinct_prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n >= 1 by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     small, large = [], []

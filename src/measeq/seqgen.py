@@ -27,7 +27,7 @@ from .errors import (
     SpecificationError,
     WindowRangeError,
 )
-from .primes import distinct_prime_factors, is_prime, prime_mask, primes_upto
+from .primes import is_prime, prime_mask, primes_upto
 
 # spec keys in [0, this] are checked against one sieve (at most 16 MB of
 # flags), other keys by `is_prime`
@@ -35,10 +35,10 @@ _SPEC_SIEVE_LIMIT = 1 << 24
 
 
 def ladder_steps(levels: Sequence[int]) -> tuple[int, ...]:
-    """Step ratios b // a of a ladder that increases by divisibility; ValueError
-    at the first step that does not."""
+    """Step ratios b // a of a positive ladder that increases by divisibility;
+    ValueError at the first step that does not."""
     for a, b in zip(levels, levels[1:]):
-        if b <= a or b % a:
+        if not 0 < a < b or b % a:
             raise ValueError(f"levels must increase by divisibility ({a} -> {b})")
     return tuple(b // a for a, b in zip(levels, levels[1:]))
 
@@ -248,10 +248,24 @@ class AdditiveFunctionSpec:
         return sum(v for _, v in self.prime_values) + self.tail_bound
 
     def eval(self, n: int) -> float:
+        """f(n) from the stored primes only: each stored prime dividing n adds
+        its value once, in increasing order; SpecificationError when n has a
+        prime factor with no stored value."""
         if n == 0:
             # polyadic limit point: every prime divides 0
             return self.total()
-        return float(sum(self.value(p) for p in distinct_prime_factors(n)))
+        total, rest = 0, n
+        for p, v in self.prime_values:
+            if p * p > rest:
+                break
+            if rest % p == 0:
+                total += v
+                while rest % p == 0:
+                    rest //= p
+        # rest is now 1, a stored prime, or has a prime factor with no value
+        if rest > 1 and rest not in self._map:
+            raise SpecificationError(f"f({n}): no value stored for a prime factor of {rest}")
+        return float(total + self._map.get(rest, 0))
 
     def window(self, N: int) -> "SequenceWindow":
         return gen_additive(N, self)

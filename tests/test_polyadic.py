@@ -1,6 +1,7 @@
 """Polyadic metric, continuity profiles, Haar means and point sampling."""
 
 import copy
+import math
 import pickle
 import sys
 from fractions import Fraction
@@ -11,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measeq.density import APSet, FACTORIAL_LADDER, ap_union_density
-from measeq.errors import ContinuityBudgetError, DiagnosticError, DomainError, ResolutionError
+from measeq.errors import (
+    ContinuityBudgetError,
+    DiagnosticError,
+    DomainError,
+    ResolutionError,
+    SpecificationError,
+)
 from measeq.polyadic import (
     DyadicRational,
     OmegaPoint,
@@ -302,7 +309,8 @@ class TestSampleOmega:
     def test_ladder_steps(self):
         assert ladder_steps((2, 6, 24)) == (3, 4)
         assert ladder_steps((7,)) == ()
-        for bad, step in (((3, 5), "3 -> 5"), ((2, 6, 6), "6 -> 6"), ((6, 3), "6 -> 3")):
+        for bad, step in (((3, 5), "3 -> 5"), ((2, 6, 6), "6 -> 6"), ((6, 3), "6 -> 3"),
+                          ((0, 5), "0 -> 5")):
             message = f"^levels must increase by divisibility \\({step}\\)$"
             with pytest.raises(ValueError, match=message):
                 ladder_steps(bad)
@@ -361,6 +369,28 @@ class TestExtendEval:
 
     def test_callable_handle_has_no_witness(self):
         assert CallableSequence(lambda n: float(n % 3)).witness(0.1) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_additive_handle_at_a_factorial_witness(self, seed):
+        # the residue mod 19! is divided by the stored primes only: its value
+        # when they factor it completely, else a refusal naming a cofactor
+        spec = AdditiveFunctionSpec.from_function(lambda p: 2.0**-p, 200)
+        assert spec.witness(1e-6) == math.factorial(19)
+        alpha = sample_omega(seed, tuple(math.factorial(k) for k in range(1, 20)))
+        r = alpha.residue_mod(math.factorial(19))
+        rest, want = r, 0
+        for p, v in spec.prime_values:
+            if rest % p == 0:
+                want += v
+                while rest % p == 0:
+                    rest //= p
+        if rest == 1:
+            assert extend_eval(spec, alpha, 1e-6) == want
+            return
+        with pytest.raises(SpecificationError, match=rf"^f\({r}\): no value stored ") as e:
+            extend_eval(spec, alpha, 1e-6)
+        named = int(str(e.value).rsplit(" ", 1)[1])
+        assert r % named == 0 and named % rest == 0
 
     def test_ladder_without_witness_level(self):
         v = PeriodicTable([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # period 7

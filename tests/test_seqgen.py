@@ -2,10 +2,14 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,7 +19,6 @@ from hypothesis import strategies as st
 
 import oracles
 from measeq import primes, seqgen
-from measeq.cli import parse_sequence_spec
 from measeq.density import APSet
 from measeq.errors import (
     CapacityError,
@@ -27,6 +30,7 @@ from measeq.seqgen import (
     AdditiveFunctionSpec,
     BaseChain,
     CallableSequence,
+    PeriodicTable,
     SequenceWindow,
     SimpleSpec,
     VdcSequence,
@@ -124,15 +128,16 @@ class TestVdc:
                 assert vals.max() - vals.min() <= 1 / qj
 
     @pytest.mark.parametrize("handle", [
-        pytest.param(parse_sequence_spec(spec), id=spec["kind"]) for spec in (
-            {"kind": "vdc", "chain": {"ratio": 3}},
-            {"kind": "additive", "tail": 0.005, "primes": {
-                str(p): p**-2.0 for p in range(2, 201) if trial_division_factors(p) == [p]}},
-            {"kind": "simple", "parts": [{"r": 1, "m": 3, "c": 0.5}, {"r": 0, "m": 6, "c": -2}]},
-            {"kind": "periodic", "values": [0.25, 1, -3]},
-            {"kind": "uniform", "n": 7},
-        )
-    ] + [pytest.param(CallableSequence(lambda n: n % 5 / 5), id="callable")])
+        pytest.param(VdcSequence(BaseChain.geometric(3, 1)), id="vdc"),
+        pytest.param(AdditiveFunctionSpec(
+            {p: p**-2.0 for p in range(2, 201) if trial_division_factors(p) == [p]}, 0.005),
+            id="additive"),
+        pytest.param(SimpleSpec([(APSet.single(1, 3), 0.5), (APSet.single(0, 6), -2.0)]),
+                     id="simple"),
+        pytest.param(PeriodicTable([0.25, 1.0, -3.0]), id="periodic"),
+        pytest.param(PeriodicTable([i / 7 for i in range(7)]), id="uniform"),
+        pytest.param(CallableSequence(lambda n: n % 5 / 5), id="callable"),
+    ])
     def test_window_matches_pointwise_eval(self, handle):
         # every sequence kind is one object with eval, window and witness
         w = handle.window(200)
@@ -310,6 +315,63 @@ class TestAdditive:
                 gen_additive(N, spec)
             return
         assert gen_additive(N, spec).values.tobytes() == want.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_eval_adds_the_stored_values_of_the_prime_factors(self, data):
+        # specs over the primes <= 200, some of them dropped; n up to 200**2
+        ps = primes.primes_upto(200).tolist()
+        dropped = data.draw(st.sets(st.sampled_from(ps), max_size=3))
+        kept = [p for p in ps if p not in dropped]
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(kept),
+                                    max_size=len(kept), unique=True))
+        stored = dict(zip(kept, values))
+        spec = AdditiveFunctionSpec(stored, 0.0)
+        N = data.draw(st.integers(1, 40_000))
+        try:
+            w = spec.window(N)
+        except SpecificationError:
+            w = None
+        for n in data.draw(st.lists(st.integers(1, N), min_size=1, max_size=20)):
+            factors = trial_division_factors(n)
+            if not set(factors) <= stored.keys():
+                with pytest.raises(SpecificationError, match=rf"^f\({n}\): no value stored "):
+                    spec.eval(n)
+                continue
+            want = float(sum(stored[p] for p in factors))
+            assert spec.eval(n).hex() == want.hex()
+            if w is not None:
+                assert w.value(n).hex() == want.hex()
+
+    @pytest.mark.parametrize("n, rest", [(10, 5), (35, 35), (2 * 3 * 25, 25)])
+    def test_eval_refusal_names_the_unresolved_cofactor(self, n, rest):
+        # the cofactor may be composite (35, 25): it is never called a prime
+        spec = AdditiveFunctionSpec({2: 0.5, 3: 0.25}, 0.0)
+        message = rf"^f\({n}\): no value stored for a prime factor of {rest}$"
+        with pytest.raises(SpecificationError, match=message):
+            spec.eval(n)
+
+    def test_eval_of_a_large_prime_refuses_at_once(self):
+        # only stored primes are tried, so 2**61 - 1 costs one pass over them;
+        # a trial division up to its square root would not end within the timeout
+        code = """if True:
+            from measeq.errors import SpecificationError
+            from measeq.seqgen import AdditiveFunctionSpec
+            for spec in (AdditiveFunctionSpec({2: 0.5, 3: 0.25}, 0.0),
+                         AdditiveFunctionSpec.from_function(lambda p: 4.0**-p, 10**6)):
+                try:
+                    spec.eval(2**61 - 1)
+                except SpecificationError as e:
+                    print(e)
+        """
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        line = f"f({2**61 - 1}): no value stored for a prime factor of {2**61 - 1}"
+        assert done.stdout.splitlines() == [line, line]
 
     def test_missing_prime_names_the_smallest(self):
         spec = AdditiveFunctionSpec({2: 0.25, 7: 0.125, 13: 0.0625}, 0.0)
