@@ -33,8 +33,10 @@ class EDF:
     behind a leading 0, so a searchsorted index reads F directly.
 
     A float breakpoint array that owns its data and is read-only is kept as
-    it is, not copied: whoever built it hands it over and must not make it
-    writable again.  Any other breakpoints, and every cum, are copied.
+    it is, not copied, and so is a read-only cum that is the view [1:] of
+    such an array led by +0.0, which becomes `padded`: whoever built them
+    hands them over and must not make them writable again.  Any other
+    breakpoints and cum are copied.
     """
 
     breakpoints: np.ndarray
@@ -52,7 +54,15 @@ class EDF:
             raise ValueError("breakpoints must be strictly increasing")
         if (cm[1:] < cm[:-1]).any() or not abs(cm[-1] - 1.0) <= 1e-9:
             raise ValueError("cum must be nondecreasing with final mass 1")
-        padded = np.concatenate(([0.0], cm))
+        padded = cm.base
+        # equal interfaces: the same data, dtype, shape and strides, both read-only
+        if not (
+            isinstance(padded, np.ndarray) and padded.ndim == 1 and padded.flags.owndata
+            and not padded.flags.writeable
+            and padded[1:].__array_interface__ == cm.__array_interface__
+            and padded[:1].tobytes() == bytes(8)
+        ):
+            padded = np.concatenate(([0.0], cm))
         bp.setflags(write=False)
         padded.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -375,8 +385,15 @@ def region_density(
 
 
 MAX_ATOMS = 4_000_000  # largest atom product (pairs) that convolve_edf takes
-_CONV_BLOCK = 1 << 16  # pairs per row block of the sorted path, and per chunk of the all-pairs path
-_CONV_FEW = 0.25  # largest distinct share of the first block that takes the sorted path
+# pairs per row block of the few-distinct path, and per chunk of the all-pairs path
+_CONV_BLOCK = 1 << 16
+# largest distinct share of the first block that takes the few-distinct path.
+# Timed on random vdc pairs at n = 1000-2000: every pair with a share of 0.27
+# to 0.94 ran faster there, and every pair with share 1.0 and over a fifth of
+# all its sums distinct ran faster on the all-pairs path.  The catalogue's
+# mixed-base pairs at 0.46-0.48 take 80 ms there against 128 on all pairs.
+_CONV_FEW = 0.5
+_BUCKET_ATOMS = 16  # most atoms in one bucket before the few-distinct path ranks by binary search
 
 
 def _finite_ends(bp: np.ndarray) -> list[float]:
@@ -385,8 +402,59 @@ def _finite_ends(bp: np.ndarray) -> list[float]:
     return fin[[0, -1]].tolist() if fin.size else []
 
 
+def _starts(sums: np.ndarray) -> np.ndarray:
+    """new[k]: sorted sum k is the first of its value, so it starts an atom."""
+    new = np.empty(sums.size, dtype=bool)
+    new[0] = True
+    np.not_equal(sums[1:], sums[:-1], out=new[1:])
+    return new
+
+
+def _ranker(bp: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function giving the index in the atoms `bp` of each of an array of atoms.
+
+    The bucket of v is f(v) = int(clip((v - lo) * scale, 0, size)) over the
+    finite atoms [lo, hi], with size = 2 * bp.size buckets.  f is monotone in
+    v, so the atoms of bucket b are those from table[b], the first atom with
+    f >= b, to table[b + 1]; each value starts at its bucket's first atom and
+    steps past the smaller ones of its bucket, at most (widest bucket - 1)
+    steps.  It is np.searchsorted, which gives the same index, when lo = hi,
+    when size / (hi - lo) is not a positive finite float (hi - lo overflows,
+    or is so small that the quotient does), or when a bucket holds more than
+    `_BUCKET_ATOMS` atoms.
+    """
+    lo, hi = _finite_ends(bp) or (0.0, 0.0)
+    size = 2 * bp.size
+    scale = size / (hi - lo) if hi > lo else 0.0
+    if not 0.0 < scale < np.inf:
+        return bp.searchsorted
+
+    def bucket(v):
+        b = np.subtract(v, lo)
+        b *= scale
+        np.clip(b, 0, size, out=b)
+        return b.astype(np.intp)
+
+    shifted = bucket(bp)
+    shifted += 1
+    table = np.bincount(shifted, minlength=size + 2)  # table[b + 1]: the atoms of bucket b
+    del shifted
+    wide = int(table.max())
+    if wide > _BUCKET_ATOMS:
+        return bp.searchsorted
+    np.cumsum(table, out=table)
+
+    def rank(sums):
+        at = table.take(bucket(sums))
+        for _ in range(wide - 1):
+            at += bp.take(at) < sums
+        return at
+
+    return rank
+
+
 def _all_pairs(x, y, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and masses of the float sums of all pairs at once.
+    """Atoms of the float sums of all pairs at once, and their masses behind a 0.
 
     One stable argsort of the row-major sums keeps tied sums in row-major
     pair order; a value sort in place gives the atoms; then, chunk by chunk
@@ -402,12 +470,11 @@ def _all_pairs(x, y, p, q) -> tuple[np.ndarray, np.ndarray]:
     index = np.int32 if sums.size <= np.iinfo(np.int32).max else np.int64
     order = np.argsort(sums, kind="stable").astype(index, copy=False)
     sums.sort()
-    new = np.empty(sums.size, dtype=bool)  # new[k]: sorted sum k starts an atom
-    new[0] = True
-    np.not_equal(sums[1:], sums[:-1], out=new[1:])
+    new = _starts(sums)
     bp = sums[new]
     del sums
-    mass = np.zeros(bp.size)
+    padded = np.zeros(bp.size + 1)
+    mass = padded[1:]
     last = -1
     for a in range(0, order.size, _CONV_BLOCK):
         i, j = np.divmod(order[a : a + _CONV_BLOCK], j2)
@@ -420,7 +487,7 @@ def _all_pairs(x, y, p, q) -> tuple[np.ndarray, np.ndarray]:
         # add.at adds in index order, as bincount does: the same bits
         np.add.at(mass, rank, w)
         del w, rank  # before the next chunk's are made
-    return bp, mass
+    return bp, padded
 
 
 def _sign_zero_atom(bp: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
@@ -449,13 +516,19 @@ def convolve_edf(F: EDF, F1: EDF) -> EDF:
     atoms can meet or overflow that way.
 
     The first row block of about `_CONV_BLOCK` pairs picks the path, which
-    changes the time taken, never the result.  Few distinct sums: the atoms
-    come from a value sort of each block's sums and each block's masses are
-    added at their atoms' ranks, so memory is a few arrays of one block
-    (about 0.5 MB each) plus the atoms.  Mostly distinct sums: all pairs are
-    sorted at once (`_all_pairs`), about 21 bytes a pair at the peak (84 MB
-    at 2000 x 2000); the atoms and their cumulative masses then take 16
-    bytes an atom, and 24 while the EDF makes its padded copy.
+    changes the time taken, never the result.  At most `_CONV_FEW` of its sums
+    distinct: the atoms come from the distinct sums of each block, sorted
+    together, and each block's sums find their atom's rank through a table
+    of 2 buckets an atom (`_ranker`; a binary search when the atoms have no
+    finite spread, their spread overflows, or a bucket holds more than
+    `_BUCKET_ATOMS` atoms).  Memory is a few arrays of one block (about
+    0.5 MB each), 16 bytes a distinct sum of a block while they are joined,
+    then 8 bytes an atom for the atoms, 8 for the masses and 16 for the
+    table (7 bytes a pair in all at vdc 6**5 x 8! with n = 1470).
+    Mostly distinct sums: all pairs are sorted at once (`_all_pairs`), about
+    21 bytes a pair at the peak (84 MB at 2000 x 2000).  Either way the masses
+    are built one slot to the right of a leading 0, so the EDF keeps that
+    array as its padded cumulative: 16 bytes an atom at the end.
     """
     j1, j2 = F.breakpoints.size, F1.breakpoints.size
     if j1 * j2 > MAX_ATOMS:
@@ -471,22 +544,29 @@ def convolve_edf(F: EDF, F1: EDF) -> EDF:
     first = np.unique(np.add.outer(x[:rows], y))
     if first.size > _CONV_FEW * min(rows, j1) * j2:
         del first
-        bp, mass = _all_pairs(x, y, p, q)
+        bp, padded = _all_pairs(x, y, p, q)
     else:
-        starts = range(0, j1, rows)
-        parts = [first] + [np.unique(np.add.outer(x[i : i + rows], y)) for i in starts[1:]]
-        bp = np.unique(np.concatenate(parts))
-        mass = np.zeros(bp.size)
-        for i in starts:
+        sums = np.concatenate(
+            [first] + [np.unique(np.add.outer(x[i : i + rows], y)) for i in range(rows, j1, rows)]
+        )
+        del first
+        sums.sort()
+        bp = sums[_starts(sums)]
+        del sums
+        rank = _ranker(bp)
+        padded = np.zeros(bp.size + 1)
+        for i in range(0, j1, rows):
             # add.at adds in index order, as bincount does: the same bits
-            at = np.searchsorted(bp, np.add.outer(x[i : i + rows], y).ravel())
-            np.add.at(mass, at, np.multiply.outer(p[i : i + rows], q).ravel())
+            at = rank(np.add.outer(x[i : i + rows], y).ravel())
+            np.add.at(padded[1:], at, np.multiply.outer(p[i : i + rows], q).ravel())
     _sign_zero_atom(bp, x, y)
-    cum = np.cumsum(mass, out=mass)
+    cum = padded[1:]
+    np.cumsum(cum, out=cum)
     np.minimum(cum, 1.0, out=cum)
     cum[-1] = 1.0  # pin the total against accumulated roundoff
     bp.setflags(write=False)
-    return EDF(bp, cum)
+    padded.setflags(write=False)
+    return EDF(bp, padded[1:])
 
 
 def sup_norm(w: SequenceWindow) -> float:

@@ -169,6 +169,8 @@ def convolve_unique_oracle(F, F1):
     sums = np.add.outer(F.breakpoints, F1.breakpoints).ravel()
     masses = np.multiply.outer(F.jumps, F1.jumps).ravel()
     bp, inverse = np.unique(sums, return_inverse=True)
+    # +0.0 and -0.0 share one atom with the sign of the first zero sum
+    bp[bp == 0.0] = sums[sums == 0.0][:1]
     mass = np.bincount(inverse, weights=masses, minlength=bp.size)
     cum = np.minimum(np.cumsum(mass), 1.0)
     cum[-1] = 1.0

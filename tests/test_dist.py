@@ -2,13 +2,15 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from measeq import dist
 from measeq.density import APSet
 from measeq.dist import (
     _CONV_BLOCK,
@@ -67,6 +69,45 @@ def cell_grids(draw):
 
 def vdc_window(base: int, N: int) -> SequenceWindow:
     return VdcSequence(BaseChain.geometric(base, 1)).window(N)
+
+
+# infinite atoms of the two factors: never +inf in one and -inf in the other
+_INF_ATOMS = (((), ()), ((np.inf,), ()), ((), (-np.inf,)), ((np.inf,), (np.inf,)),
+              ((-np.inf,), (-np.inf,)), ((-np.inf, np.inf), ()))
+
+
+@st.composite
+def conv_factor_pairs(draw, max_atoms=40):
+    """Two step distributions with unequal masses whose sums reach every path
+    of convolve_edf: lattice grids k/m (few distinct sums, near-ties when m is
+    2**52), random atoms (mostly distinct), runs of up to 24 atoms one ulp
+    apart, multiples of the least subnormal, -0.0, +-inf atoms, and one
+    factor reaching +-1e308, so that the sums' spread overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    infs = draw(st.sampled_from(_INF_ATOMS))
+    huge = draw(st.integers(0, 5))  # the factor reaching +-1e308, if 0 or 1
+
+    def factor(k):
+        n = draw(st.integers(1, max_atoms))
+        kind = draw(st.sampled_from(("lattice", "random", "ulp runs", "subnormal")))
+        if kind == "random":
+            atoms = rng.uniform(-4, 4, n)
+        elif kind == "subnormal":
+            atoms = rng.integers(-40, 40, n, endpoint=True) * 5e-324
+        else:
+            m = draw(st.sampled_from((1, 3, 8, 10, 3**7, 2**52)))
+            atoms = rng.integers(-4 * m, 4 * m, n, endpoint=True) / m
+        if kind == "ulp runs":
+            run = [atoms[: draw(st.integers(1, 3))]]
+            for _ in range(draw(st.integers(1, 23))):
+                run.append(np.nextafter(run[-1], np.inf))
+            atoms = np.concatenate([atoms, *run])
+        if draw(st.booleans()):
+            atoms = np.append(atoms[atoms != 0.0], -0.0)
+        atoms = np.concatenate([atoms, infs[k], [-1e308, 1e308] if huge == k else []])
+        return _unequal_masses(np.unique(atoms))
+
+    return factor(0), factor(1)
 
 
 class TestEdf:
@@ -147,6 +188,22 @@ class TestEdf:
         view = bp[1:]  # read-only, but not its data's owner
         assert EDF(view, cum[1:]).breakpoints is not view
         assert not np.shares_memory(EDF(bp, cum).cum, cum)
+
+    def test_read_only_padded_cumulatives_are_kept(self):
+        bp = np.array([0.0, 0.5, 2.0])
+        padded = np.array([0.0, 0.25, 0.5, 1.0])
+        early = padded[1:]  # still writable after its base is made read-only
+        assert EDF(bp, padded[1:]).padded is not padded
+        padded.setflags(write=False)
+        kept = EDF(bp, padded[1:])
+        assert kept.padded is padded and np.shares_memory(kept.cum, padded)
+        assert EDF(bp, early).padded is not padded
+        longer = np.array([0.0, 0.5, 1.0, 1.0])
+        longer.setflags(write=False)
+        assert EDF(bp[:2], longer[1:3]).padded is not longer  # not the whole tail
+        led = np.array([-0.0, 0.25, 0.5, 1.0])
+        led.setflags(write=False)
+        assert EDF(bp, led[1:]).padded[:1].tobytes() == bytes(8)  # F is +0.0 left of x_1
 
     @given(st.one_of(windows, coarse_windows))
     def test_jumps_and_mean_keep_their_bits(self, w):
@@ -522,25 +579,27 @@ class TestConvolution:
         cum[-1] = 1.0
         assert got.cum.tobytes() == cum.tobytes()
 
-    # (F, F1, path): the sorted path ranks each block's sums with searchsorted,
-    # the all-pairs path orders all sums with one stable argsort
+    # (F, F1, path): the few-distinct path sorts each block's distinct sums and
+    # ranks its sums through a bucket table ("buckets"), the all-pairs path
+    # sorts all sums at once
     CASES = {
         "uniform 1": (lambda: (uniform_edf(1), uniform_edf(1)), "all pairs"),
-        "uniform 50 x 300": (lambda: (uniform_edf(50), uniform_edf(300)), "sorted"),
+        "uniform 50 x 300": (lambda: (uniform_edf(50), uniform_edf(300)), "buckets"),
         # 218 rows a block: the second block holds the last 82 rows
-        "uniform 300": (lambda: (uniform_edf(300), uniform_edf(300)), "sorted"),
-        "vdc 3 x 3": (lambda: (edf(vdc_window(3, 400)), edf(vdc_window(3, 250))), "sorted"),
+        "uniform 300": (lambda: (uniform_edf(300), uniform_edf(300)), "buckets"),
+        "vdc 3 x 3": (lambda: (edf(vdc_window(3, 400)), edf(vdc_window(3, 250))), "buckets"),
         "vdc 2 x 3": (lambda: (edf(vdc_window(2, 300)), edf(vdc_window(3, 200))), "all pairs"),
-        "inf atoms, sorted": (lambda: (EDF.from_values([-np.inf, *np.arange(40) / 8, np.inf]),
-                                       uniform_edf(64)), "sorted"),
-        "inf atoms, all pairs": (lambda: (EDF.from_values([-np.inf, 0.1, np.inf]),
+        "inf atoms, buckets": (lambda: (EDF.from_values([-np.inf, *np.arange(40) / 8, np.inf]),
+                                        uniform_edf(64)), "buckets"),
+        # 152 atoms of 250 pairs: a share above _CONV_FEW
+        "inf atoms, all pairs": (lambda: (EDF.from_values([-np.inf, 0.1, 0.3, 0.7, np.inf]),
                                           edf(vdc_window(3, 50))), "all pairs"),
         # one row longer than a block: 1, 2 and 3 plus steps below half an ulp
         # of 1 round to the integer, so each atom adds 65,636 masses in order
         "row past the block": (lambda: (EDF.from_values([1.0, 2.0, 3.0]),
                                         EDF(np.arange(_CONV_BLOCK + 100) * 2.0**-70,
                                             np.arange(1, _CONV_BLOCK + 101) / (_CONV_BLOCK + 100))),
-                               "sorted"),
+                               "buckets"),
         # mostly distinct sums, but the atoms k/8 of both factors meet in 31
         # sums of up to 16 random masses, whose float sum hangs on their order
         "ties of unequal masses": (lambda: _dyadic_ties(5), "all pairs"),
@@ -553,21 +612,32 @@ class TestConvolution:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_same_bits_as_unique_oracle(self, monkeypatch, case):
+    def test_same_bits_as_unique_oracle(self, case):
         make, path = self.CASES[case]
         F, G = make()
         bp, cum = oracles.convolve_unique_oracle(F, G)
-        called = set()
-        for name in ("searchsorted", "argsort"):
-            def spy(*args, _name=name, _real=getattr(np, name), **kwargs):
-                called.add(_name)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np, name, spy)
+        assert _conv_path(F, G) == path
         got = convolve_edf(F, G)
-        monkeypatch.undo()
-        assert called == {"searchsorted" if path == "sorted" else "argsort"}
         assert got.breakpoints.tobytes() == bp.tobytes()
         assert got.cum.tobytes() == cum.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(conv_factor_pairs())
+    def test_drawn_factors_give_the_unique_oracles_bits(self, factors):
+        F, G = factors
+        bp, cum = oracles.convolve_unique_oracle(F, G)
+        got = convolve_edf(F, G)
+        assert got.breakpoints.tobytes() == bp.tobytes()
+        assert got.cum.tobytes() == cum.tobytes()
+
+    @pytest.mark.parametrize("path", [
+        "all pairs", "buckets", "no finite spread", "spread overflows", "scale overflows",
+        "wide bucket",
+    ])
+    def test_drawn_factors_reach_every_path(self, path):
+        # find raises NoSuchExample if no draw takes the path
+        find(conv_factor_pairs(), lambda fg: _conv_path(*fg) == path,
+             settings=settings(max_examples=2000, database=None))
 
     # +0.0 and -0.0 share one atom, which keeps the sign of the sum of its first
     # pair in row-major order: -0.0 + -0.0 is -0.0, and x + -x (x != 0) is +0.0
@@ -600,8 +670,52 @@ class TestConvolution:
         finally:
             tracemalloc.stop()
         assert got.breakpoints.size == 600 * 600  # coprime bases: every sum distinct
-        # an int64 inverse and the pair masses held beside the sums take about 60
-        assert peak <= 28 * 600 * 600
+        # an int64 inverse and the pair masses held beside the sums take about 60;
+        # the peak is 21 a pair plus one chunk's index and mass arrays (4.6 here)
+        assert peak <= 26 * 600 * 600
+
+    def test_few_distinct_memory_per_pair(self):
+        n = 1470
+        F = edf(VdcSequence(BaseChain.geometric(6, 5)).window(n))
+        G = edf(VdcSequence(BaseChain.factorial(8)).window(n))
+        convolve_edf(F, G)  # first-call imports
+        tracemalloc.start()
+        try:
+            got = convolve_edf(F, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _conv_path(F, G) == "buckets"
+        assert got.breakpoints.size == 96378  # 4.5% of the pairs
+        # 7.0 a pair, the bucket table 0.7 of it; the all-pairs path takes 20 here
+        assert peak <= 8 * n * n
+
+
+def _conv_path(F: EDF, G: EDF) -> str:
+    """How convolve_edf finds the atoms of the sums: "all pairs", or on the
+    few-distinct path by "buckets", or by binary search for "no finite
+    spread", "spread overflows", a spread so small that "scale overflows",
+    or "wide bucket"."""
+    paths = []
+
+    def all_pairs(*args):
+        paths.append("all pairs")
+        return real_all_pairs(*args)
+
+    def ranker(bp):
+        rank = real_ranker(bp)
+        lo, hi = dist._finite_ends(bp) or (0.0, 0.0)
+        paths.append("buckets" if rank.__name__ != "searchsorted" else
+                     "no finite spread" if lo == hi else
+                     "spread overflows" if hi - lo == math.inf else
+                     "scale overflows" if 2 * bp.size / (hi - lo) == math.inf else "wide bucket")
+        return rank
+
+    real_all_pairs, real_ranker = dist._all_pairs, dist._ranker
+    with mock.patch.object(dist, "_all_pairs", all_pairs), mock.patch.object(dist, "_ranker", ranker):
+        convolve_edf(F, G)
+    [path] = paths
+    return path
 
 
 def _unequal_masses(bp: np.ndarray) -> EDF:
