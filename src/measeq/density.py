@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,6 +32,9 @@ DEFAULT_GAP_TOLERANCE = 0.05
 MAX_MODULUS = 2**63 - 1
 # inclusion-exclusion visits at most this many subset nodes
 IE_TERM_LIMIT = 200_000
+# class counts mod M sum the window mask down rows of the least multiple of M
+# that is at least this many columns
+FOLD_WIDTH = 2**16
 
 
 def _crt_intersect(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
@@ -197,9 +200,12 @@ class Predicate:
         return bool(self.mask(n)[n - 1])
 
     def mask(self, N: int) -> np.ndarray:
-        """Boolean membership array for n = 1..N."""
+        """Boolean membership array for n = 1..N; any other dtype is read by truth value."""
         self._require(N)
-        return self._mask_fn(N)
+        out = np.asarray(self._mask_fn(N))
+        if out.shape != (N,):
+            raise ValueError(f"predicate {self.name!r} gave a mask of shape {out.shape} for N={N}")
+        return out.astype(bool, copy=False)
 
     def _require(self, N: int) -> None:
         if self.max_n is not None and N > self.max_n:
@@ -309,23 +315,47 @@ def asymptotic_density_profile(
 
 
 def _fold(counts: np.ndarray, m: int) -> np.ndarray:
-    """Counts per class mod m from counts per class mod a multiple of m."""
-    return counts if counts.size == m else counts.reshape(-1, m).sum(axis=0)
+    """Counts per class mod m from counts per class mod a multiple of m.  `einsum` adds the
+    rows of m columns in one pass; `sum(axis=0)` takes one step per row, slow for small m."""
+    return counts if counts.size == m else np.einsum("ij->j", counts.reshape(-1, m))
 
 
-def _classes(res: np.ndarray, M: int, m: int) -> np.ndarray:
-    """x mod m for each x mod M in `res`, m | M, through a table instead of `%`."""
-    return res if m == M else (np.arange(M) % m)[res]
+def _class_counts(window: np.ndarray, start: int, M: int) -> np.ndarray:
+    """Hits per class x mod M among x = start + 1, ..., N, where window[i] holds x = i + 1.
+
+    The mask is summed in place down rows of W columns, W the least multiple of M that is at
+    least FOLD_WIDTH, each row starting at a multiple of W, so that column j holds the x = j
+    mod W.  The aligned body is one reshape, summed in the least dtype that holds its row
+    count plus the one hit the ragged head and the one the tail may each add to a column;
+    the fold to M widens to int64, so no array of W int64s is made."""
+    N, W = window.size, -(-FOLD_WIDTH // M) * M
+    body = min(N, -(-(start + 1) // W) * W - 1)  # index of the first multiple of W past start
+    rows = (N - body) // W
+    tail = body + rows * W
+    sums = window[body:tail].reshape(rows, W).sum(axis=0, dtype=np.min_scalar_type(rows + 2))
+    head = (start + 1) % W
+    sums[head : head + body - start] += window[start:body]
+    sums[: N - tail] += window[tail:]
+    return sums.reshape(-1, M).sum(axis=0, dtype=np.int64)
 
 
 def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
           tolerance: float = DEFAULT_GAP_TOLERANCE, big_m: int | None = None, upto: int = 0):
     """(mask of [1, max(N, upto)], certificates if `big_m` is given, MeasurabilityReport)
-    from the hits per class at each usable level m.  The hits are reduced once per maximal
-    usable level M, one that divides no other usable level; a level m | M sums the class
-    counts of M, and reads the hits again, through the table x mod M -> x mod m, only when
-    it has stragglers or its cover leaves a hit class out.  The complement's count in class
-    r is its size, N // m if r = 0 else (N - r) // m + 1 (0 if r > N), minus the set's count."""
+    from the hits per class at each usable level m.
+
+    The class counts come from the window mask itself (`_class_counts`), once per maximal
+    usable level M, one that divides no other usable level, and once more for the counts
+    past the recency cut 2N/3; a level m | M folds them.  The complement's count in class r
+    is its size, N // m plus one if 1 <= r <= N % m (a level has m <= N), minus the set's.
+
+    A straggler x lies in a class mod m that is not persistent.  By the Chinese remainder
+    theorem its pair (x mod m, x mod big_m) is one residue z = x mod L, L = lcm(m, big_m), so
+    the distinct pairs are the distinct straggler residues mod L: the hit classes mod L whose
+    class mod m is not persistent when L <= N (the counts mod M when L = M, as on every
+    divisibility ladder), else the straggler hits themselves.  The hits, and their residues
+    mod M, are built only for the levels that read them: one with L > N, and one whose cover
+    leaves hit classes mod m unheld, which `_verify_cover` checks hit by hit."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if max(ladder, default=1) > MAX_MODULUS:
@@ -334,67 +364,69 @@ def _scan(pred, ladder: Sequence[int], N: int, threshold: int,
     if not levels:
         raise DiagnosticError(f"window {N} cannot classify residues at any ladder level")
     mask = _as_predicate(pred).mask(max(N, upto))
-    hits = np.flatnonzero(mask[:N]).astype(np.int64, copy=False) + 1
-    # hits[recent_from:] lie past the recency cut 2N/3
-    recent_from = np.searchsorted(hits, (2 * N) // 3, side="right")
+    window = mask[:N]
     distinct = tuple(dict.fromkeys(levels))
     maximal = sorted(M for M in distinct if not any(q % M == 0 for q in distinct if q > M))
     source = {m: next(M for M in maximal if M % m == 0) for m in distinct}
-    last_use = {source[m]: m for m in distinct}
-    passes = {}  # M -> (hits % M, counts mod M, recent counts mod M), dropped after last use
-    hb = None  # hits % big_m, taken at the first level that has stragglers
+    counted = {}  # M -> (counts mod M, counts mod M past the recency cut)
+    hits, hits_mod = None, {}  # the hits and hits % M, built when a level first reads them
+
+    def hit_classes(m):
+        """(hits, x mod m of each hit x), the latter read off hits % M through the table
+        r -> r mod m of the classes mod M, so one `%` runs per hit for each maximal level."""
+        nonlocal hits
+        if hits is None:
+            hits = np.flatnonzero(window).astype(np.int64, copy=False) + 1
+        M = source[m]
+        if M not in hits_mod:
+            hits_mod[M] = hits % M
+        return hits, hits_mod[M] if m == M else np.tile(np.arange(m), M // m)[hits_mod[M]]
+
     sat_s, sat_c, cert = {}, {}, {}  # per distinct level
     for m in distinct:
         M = source[m]
-        if M not in passes:
-            res_M = hits % M
-            passes[M] = (res_M, np.bincount(res_M, minlength=M),
-                         None if big_m is None else np.bincount(res_M[recent_from:], minlength=M))
-        res_M, counts_M, recent_M = passes.pop(M) if last_use[M] == m else passes[M]
+        if M not in counted:
+            counted[M] = (_class_counts(window, 0, M),
+                          None if big_m is None else _class_counts(window, (2 * N) // 3, M))
+        counts_M, recent_M = counted[M]
         counts = _fold(counts_M, m)
-        sizes = (N - np.arange(m)) // m + (np.arange(m) > 0)
+        sizes = np.full(m, N // m)
+        sizes[1 : N % m + 1] += 1
         sat_s[m] = Fraction(int((counts >= threshold).sum()), m)
         sat_c[m] = Fraction(int((sizes - counts >= threshold).sum()), m)
         if big_m is None:
             continue
         persistent = (counts >= threshold) & (_fold(recent_M, m) > 0)
         hit = counts > 0
-        residues = [np.flatnonzero(persistent)]
-        moduli = [np.full(residues[0].size, m, dtype=np.int64)]
-        cost = Fraction(residues[0].size, m)
-        res = None  # hits % m, taken only when needed
-        # stragglers grouped by class: class progression vs singletons, cheaper wins
+        z = np.zeros(0, dtype=np.int64)  # the distinct straggler residues mod L
+        per_hit = None  # (hits, hits % m), when this level has read them
         if (hit & ~persistent).any():
-            res = _classes(res_M, M, m)
-            strag = ~persistent[res]
-            # distinct (class, singleton) pairs in class order; a singleton that
-            # two classes share (m need not divide big_m) counts in both
-            if hb is None:
-                hb = res_M if M == big_m else hits % big_m
-            cls, single = res[strag], hb[strag]
-            order = np.lexsort((single, cls))
-            cls, single = cls[order], single[order]
-            fresh = np.ones(cls.size, dtype=bool)
-            fresh[1:] = (cls[1:] != cls[:-1]) | (single[1:] != single[:-1])
-            classes, k = np.unique(cls[fresh], return_counts=True)
-            # 1/m <= k/big_m, i.e. k*m >= big_m, kept free of int64 products
-            whole = k >= -(-big_m // m)
-            residues += [classes[whole], single[fresh][np.repeat(~whole, k)]]
-            moduli += [np.full(residues[-2].size, m, dtype=np.int64),
-                       np.full(residues[-1].size, big_m, dtype=np.int64)]
-            cost += Fraction(int(whole.sum()), m) + Fraction(int(k[~whole].sum()), big_m)
-        cover = APSet(np.column_stack((np.concatenate(residues), np.concatenate(moduli))))
+            L = lcm(m, big_m)
+            if L <= N:
+                counts_L = counts_M if L == M else _class_counts(window, 0, L)
+                z = np.flatnonzero((counts_L > 0) & np.tile(~persistent, L // m))
+            else:
+                xs, res = per_hit = hit_classes(m)
+                z = xs[~persistent[res]]
+        # a class of k distinct stragglers takes r+(m) when 1/m <= k/big_m, i.e. k*m >= big_m,
+        # kept free of int64 products; else its k singletons mod big_m, one that two classes
+        # share (m need not divide big_m) counted in both
+        cls = z % m
+        whole = np.bincount(cls, minlength=m) >= -(-big_m // m)
+        lone = z[~whole[cls]] % big_m
+        classes = np.flatnonzero(persistent | whole)
+        cover = APSet(np.column_stack((np.concatenate((classes, lone)),
+                                       np.repeat([m, big_m], (classes.size, lone.size)))))
+        cost = Fraction(classes.size, m) + Fraction(lone.size, big_m)
         # a hit in a class the cover holds mod m is covered; the rest go to _verify_cover
         cover_r, cover_m = cover.arrays
         held = np.zeros(m, dtype=bool)
         held[cover_r[cover_m == m]] = True
         unheld = hit & ~held
         if unheld.any():
-            if res is None:
-                res = _classes(res_M, M, m)
+            xs, res = per_hit or hit_classes(m)
             sel = unheld[res]
-            tables = {m: res[sel]} if hb is None else {big_m: hb[sel], m: res[sel]}
-            _verify_cover(cover, hits[sel], tables)
+            _verify_cover(cover, xs[sel], {m: res[sel]})
         cert[m] = CoverCertificate(cover, cost, N, m)
     up_s, up_c = (tuple(sat[m] for m in levels) for sat in (sat_s, sat_c))
     certs = [cert[m] for m in levels] if big_m is not None else []

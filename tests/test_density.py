@@ -1,11 +1,13 @@
 """Density, cover-certificate and saturation tests against enumeration oracles."""
 
+import re
+import tracemalloc
 from fractions import Fraction
 from math import isqrt, lcm
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -110,6 +112,29 @@ class TestPredicates:
     def test_call_needs_a_positive_integer(self):
         with pytest.raises(ValueError, match="positive integers, got 0"):
             squares_predicate()(0)
+
+    # a mask that is not one entry per n = 1..N would be folded as if it were
+    @pytest.mark.parametrize("make, shape", [
+        (lambda N: np.ones(10, dtype=bool), "(10,)"),
+        (lambda N: np.ones(N + 1, dtype=bool), "(1001,)"),
+        (lambda N: np.ones((N, 1), dtype=bool), "(1000, 1)"),
+    ])
+    def test_mask_of_another_shape_is_refused(self, make, shape):
+        pred = Predicate(mask=make, name="odd")
+        message = re.escape(f"predicate 'odd' gave a mask of shape {shape} for N=1000")
+        for call in (lambda: buck_upper(pred, FACTORIAL_LADDER, 1000),
+                     lambda: buck_measurability_check(pred, FACTORIAL_LADDER, 1000),
+                     lambda: asymptotic_density_profile(pred, [100, 1000])):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_mask_of_another_dtype_is_read_by_truth_value(self):
+        # classes 1 and 2 mod 3 hold the values 1 and 2, each one member
+        ints = Predicate(mask=lambda N: np.arange(1, N + 1) % 3)
+        bools = Predicate(mask=lambda N: np.arange(1, N + 1) % 3 > 0)
+        assert count_in_window(ints, 3000) == 2000
+        for call in (buck_upper_per_level, buck_measurability_check):
+            assert call(ints, FACTORIAL_LADDER, 3000) == call(bools, FACTORIAL_LADDER, 3000)
 
 
 class TestDensityProfile:
@@ -329,12 +354,56 @@ def hits_at(N, *ns):
     return mask
 
 
+def outcome(fn, *args):
+    """What a call gives: its result, or the type and text of its refusal."""
+    try:
+        return "returned", fn(*args)
+    except MeaseqError as e:
+        return "raised", f"{type(e).__name__}: {e}"
+
+
+# hit_sets plus the empty and the full window
+window_masks = st.one_of(
+    hit_sets(),
+    st.tuples(st.integers(1, 3000), st.booleans()).map(lambda t: np.full(t[0], t[1])),
+)
+
+
+def straggler_paths(mask, ladder, threshold):
+    """How `_scan` finds the (class, singleton) pairs of each level that has stragglers:
+    from the counts mod L = lcm(m, big_m) when L is its maximal level M or L <= N, from
+    the hits when L > N; and "unheld" when a cover leaves a hit class mod m to be
+    checked hit by hit.  Worked out from per-class counts of the hits."""
+    N, big_m = mask.size, max(ladder)
+    levels = {m for m in ladder if N >= threshold * m}
+    maximal = [M for M in levels if not any(q > M and q % M == 0 for q in levels)]
+    certs = oracles.buck_upper_per_level_oracle(mask_predicate(mask), ladder, N, threshold)
+    hits = np.flatnonzero(mask) + 1
+    paths = set()
+    for cert in certs if levels else ():
+        m = cert.level
+        M = min(q for q in maximal if q % m == 0)
+        res = hits % m
+        persistent = (np.bincount(res, minlength=m) >= threshold) & (
+            np.bincount(res[hits > (2 * N) // 3], minlength=m) > 0)
+        if (~persistent[res]).any():
+            L = lcm(m, big_m)
+            paths.add("L == M" if L == M else "L <= N" if L <= N else "L > N")
+        held = {r for r, q in cert.cover.progressions if q == m}
+        if set(res.tolist()) - held:
+            paths.add("unheld")
+    return paths
+
+
 class TestStragglerGrouping:
     # stale hits 1, 8, 15 share singleton 1 mod 7 from classes 1, 2, 0 mod 3:
     # the cover holds 1+(7) once, the cost 3/7 counts it in each class
+    # (L = 21 <= N at level 3, and its classes stay unheld)
     @example(mask=hits_at(60, 1, 8, 15), ladder=(3, 5, 7), threshold=1)
-    # stale hits 1, 3, 5 at level 2 tie 1/2 against 3/6 and take the class
+    # stale hits 1, 3, 5 at level 2 tie 1/2 against 3/6 and take the class (L = M = 6)
     @example(mask=hits_at(60, 1, 3, 5), ladder=(1, 2, 6), threshold=3)
+    # big_m = 2**32 + 15 is past the window: L > N, each straggler its own residue
+    @example(mask=hits_at(60, 1, 3, 5, 7, 8, 40), ladder=(1, 2, 6, 24, 2**32 + 15), threshold=1)
     @given(hit_sets(), straggler_ladders, st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
     def test_matches_per_class_oracle(self, mask, ladder, threshold):
@@ -350,20 +419,58 @@ class TestStragglerGrouping:
             assert g.cover.progressions == w.cover.progressions
             assert g.cost == w.cost
 
+    @pytest.mark.parametrize("path", ["L == M", "L <= N", "L > N", "unheld"])
+    def test_drawn_windows_reach_every_path(self, path):
+        # find raises NoSuchExample if no draw takes the path
+        find(st.tuples(hit_sets(), straggler_ladders, st.integers(1, 4)),
+             lambda t: path in straggler_paths(*t),
+             settings=settings(max_examples=2000, database=None))
 
-def outcome(fn, *args):
-    """What a call gives: its result, or the type and text of its refusal."""
-    try:
-        return "returned", fn(*args)
-    except MeaseqError as e:
-        return "raised", f"{type(e).__name__}: {e}"
+    # a window of 3000 folds 1000 rows of W = 3 at level 3: the row sums need uint16
+    @example(mask=hits_at(3000, *range(1, 2001, 3), 2999), ladder=(3, 5, 7), threshold=4,
+             width=1)
+    # 769 = 2 + 255 * 3 + 2: a column of 255 full rows also takes a head and a tail hit
+    @example(mask=np.ones(769, dtype=bool), ladder=(3, 5, 7), threshold=4, width=1)
+    @given(window_masks, straggler_ladders, st.integers(1, 4), st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_narrow_fold_matches_oracles(self, mask, ladder, threshold, width):
+        # FOLD_WIDTH shrunk, so that windows of up to 3000 span many rows, with ragged
+        # heads and tails
+        pred, N = mask_predicate(mask), mask.size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(density, "FOLD_WIDTH", width)
+            got = (outcome(buck_upper_per_level, pred, ladder, N, threshold),
+                   outcome(buck_measurability_check, pred, ladder, N, threshold))
+        want = (outcome(oracles.buck_upper_per_level_oracle, pred, ladder, N, threshold),
+                outcome(oracles.buck_measurability_oracle, pred, ladder, N, threshold))
+        assert got[1] == want[1]
+        if got[1][0] == "raised":  # no usable level, which the per-level oracle does not check
+            assert got[0] == got[1]
+            return
+        assert [(c.level, c.cover, c.cost) for c in got[0][1]] == [
+            (c.level, c.cover, c.cost) for c in want[0][1]]
 
 
-# hit_sets plus the empty and the full window
-window_masks = st.one_of(
-    hit_sets(),
-    st.tuples(st.integers(1, 3000), st.booleans()).map(lambda t: np.full(t[0], t[1])),
-)
+class TestScanMemory:
+    # 14 progressions with moduli dividing 8!, as in the benchmark's AP unions; and
+    # blocks, whose last block ends before 2N/3, so every class is a straggler
+    @pytest.mark.parametrize("pred, bound", [
+        (ap_predicate(APSet([(r % m, m) for r, m in zip(
+            range(1, 29, 2), (2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 20))])), 6),
+        (blocks_predicate(), 8),
+    ])
+    def test_peak_per_window_element(self, pred, bound):
+        N = 10**6
+        buck_upper_per_level(pred, FACTORIAL_LADDER, 10**4)  # first-call imports
+        tracemalloc.start()
+        try:
+            buck_upper_per_level(pred, FACTORIAL_LADDER, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the mask, its class counts and the covers; no array of one int64 per hit
+        assert peak <= bound * N
+
 
 # moduli small enough to hit often, and big_m-sized ones that hold a hit or two
 covers = st.lists(
