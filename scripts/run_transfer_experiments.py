@@ -10,6 +10,9 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
+from measeq.csvtext import csv_text
 from measeq.experiments import (
     clt_experiment,
     metric_ud_experiment,
@@ -51,8 +54,8 @@ def main() -> None:
         rows = [r if isinstance(r, tuple) else (r,) for r in rep.trace]
         width = max((len(r) for r in rows), default=1)
         header = ",".join(f"c{i}" for i in range(width))
-        lines = [header] + [",".join(repr(float(x)) for x in r) for r in rows]
-        csv.write_text("\n".join(lines) + "\n")
+        columns = np.array(rows, dtype=np.float64).reshape(-1, width).T
+        csv.write_text(csv_text((header, list(columns))))
         flag = "PASS" if rep.passed else "FAIL"
         print(f"{flag}  {rep.name:24s} {rep.statistics}")
 

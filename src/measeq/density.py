@@ -9,10 +9,10 @@ residue saturation along a divisibility ladder of moduli.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -50,64 +50,54 @@ def _crt_intersect(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None
     return (r1 + m1 * t) % lcm, lcm
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _check_pair(r: int, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if r < 0:
-        raise ValueError(f"residue must be >= 0, got {r}")
+def _ints(values) -> np.ndarray:
+    """values as an int64 array, or as an object array of Python ints when one passes int64."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
 
 
 class APSet:
     """Finite union of arithmetic progressions r+(m) = {r, r+m, r+2m, ...}.
 
-    Pairs are normalized to 0 <= r < m, deduplicated and sorted by (r, m).
-    Membership is evaluated on positive integers only.  Built from pairs, the
-    set stores the `progressions` tuple, whose ints may pass int64; built from
-    a k x 2 integer array, it stores the normalized read-only int64 `arrays`
-    (residues, moduli) and builds `progressions` when that is first read.
-    Either form is derived from the other on demand; instances are immutable.
+    The set stores one form, the read-only `arrays` (residues, moduli):
+    normalized to 0 <= r < m, deduplicated and sorted by (r, m).  Their dtype
+    is int64 when every modulus fits it, and object (Python ints) otherwise.
+    A k x 2 signed-integer array is read as int64; any other input is read
+    pair by pair through `operator.index`, so a non-integer raises TypeError.
+    `progressions`, the same pairs as a tuple, is built when first read.
+    `mask(N)` gives membership of n = 1..N, while `n in s` takes any integer.
+    Instances are immutable.
     """
 
     def __init__(self, progressions: Iterable[tuple[int, int]] | np.ndarray):
-        if isinstance(progressions, np.ndarray):  # k x 2 integer array: the same steps, in bulk
-            r, m = progressions.reshape(-1, 2).T
-            bad = np.flatnonzero((m < 1) | (r < 0))
-            if bad.size:
-                _check_pair(int(r[bad[0]]), int(m[bad[0]]))
-            r = r % m
-            order = np.lexsort((m, r))
-            r, m = r[order], m[order]
-            fresh = np.ones(r.size, dtype=bool)
-            fresh[1:] = (r[1:] != r[:-1]) | (m[1:] != m[:-1])
-            self.__dict__["arrays"] = _read_only(r[fresh], m[fresh])
-            return
-        pairs = set()
-        for r, m in progressions:
-            _check_pair(r, m)
-            pairs.add((r % m, m))
-        self.__dict__["progressions"] = tuple(sorted(pairs))
+        pairs = progressions
+        if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i"):
+            pairs = [(operator.index(r), operator.index(m)) for r, m in pairs]
+        r, m = _ints(pairs).reshape(-1, 2).T
+        bad = np.flatnonzero((m < 1) | (r < 0))
+        if bad.size:  # the first bad pair in input order, its modulus checked first
+            i = bad[0]
+            raise ValueError(f"modulus must be >= 1, got {int(m[i])}" if m[i] < 1
+                             else f"residue must be >= 0, got {int(r[i])}")
+        r = r % m
+        order = np.lexsort((m, r))
+        r, m = r[order], m[order]
+        fresh = np.ones(r.size, dtype=bool)
+        fresh[1:] = (r[1:] != r[:-1]) | (m[1:] != m[:-1])
+        m = _ints(m[fresh])
+        r = r[fresh].astype(m.dtype, copy=False)  # 0 <= r < m: r fits wherever m does
+        r.flags.writeable = m.flags.writeable = False
+        self.__dict__["arrays"] = (r, m)
 
     @cached_property
     def progressions(self) -> tuple[tuple[int, int], ...]:
         r, m = self.arrays
         return tuple(zip(r.tolist(), m.tolist()))
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(residues, moduli) as int64 arrays in the order of `progressions`."""
-        flat = chain.from_iterable(self.progressions)
-        return _read_only(*np.fromiter(flat, np.int64, 2 * len(self.progressions)).reshape(-1, 2).T)
-
     def __len__(self) -> int:
-        """The number of progressions, read from whichever form is stored."""
-        pairs = self.__dict__.get("progressions")
-        return len(pairs) if pairs is not None else self.arrays[0].size
+        return self.arrays[0].size
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -266,7 +266,7 @@ def weak_continuity_profile(
             best = (m, fraction)
         if fraction < delta:
             return ExceptionalSet(
-                APSet([(int(r), m) for r in bad]), Fraction(bad.size, m), m
+                APSet(np.column_stack((bad, np.full_like(bad, m)))), Fraction(bad.size, m), m
             )
     raise ContinuityBudgetError(best[0], best[1])
 

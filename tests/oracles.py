@@ -2,11 +2,12 @@
 
 Everything here is plain-Python double loops over raw value lists, apart from
 the scalar membership rules of the built-in predicates and the per-point
-paths that vectorized kernels replaced, kept as they were: the
-per-class straggler loop of `buck_upper_per_level`, the mask-form cover check,
-the measurability check that materializes the complement's hits, the
-per-breakpoint EDF series, the per-row CSV formatter, the per-key primality check of an additive
-spec and the per-(member, point) `extend_eval` loop of the metric experiment.
+paths that vectorized kernels replaced, kept as they were: the set-and-sort
+construction of an `APSet`, the per-class straggler loop of
+`buck_upper_per_level`, the mask-form cover check, the measurability check
+that materializes the complement's hits, the per-breakpoint EDF series, the
+per-row CSV formatter, the per-key primality check of an additive spec and
+the per-(member, point) `extend_eval` loop of the metric experiment.
 """
 
 import math
@@ -219,6 +220,19 @@ def in_blocks(n):
 
 def in_apset(s, n):
     return n in s
+
+
+def apset_oracle(pairs):
+    # the progressions of APSet(pairs), pair by pair: check each in input order,
+    # reduce its residue into a set, then sort
+    out = set()
+    for r, m in pairs:
+        if m < 1:
+            raise ValueError(f"modulus must be >= 1, got {m}")
+        if r < 0:
+            raise ValueError(f"residue must be >= 0, got {r}")
+        out.add((r % m, m))
+    return tuple(sorted(out))
 
 
 def in_level_set(values, lo, hi, n):

@@ -436,8 +436,9 @@ class TestExitCodes:
 
     def test_failed_cover_check_is_refused(self, capsys, monkeypatch):
         # a cover built without its progressions fails the check on every level
+        empty = np.zeros(0, dtype=np.int64)
         monkeypatch.setattr(APSet, "__init__",
-                            lambda self, pairs: object.__setattr__(self, "progressions", ()))
+                            lambda self, pairs: object.__setattr__(self, "arrays", (empty, empty)))
         assert main(["density", "--pred", "squares", "--window", "1000"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["run refused: cover misses window elements [1, 4, 9, 16, 25]"]
@@ -1155,6 +1156,10 @@ def _script_lines():
 
 # results/density_survey.json of `density_survey.py --window 1000000`
 DENSITY_SURVEY_SHA256 = "e82dea4ff4b22f74b8240b81a79ae689684c47b60c37412c7d194f870eaf62e9"
+# the six results files of `run_transfer_experiments.py`, read in this order
+TRANSFER_RESULTS = [f"{name}{ext}" for name in ("clt", "weak_law", "metric_ud")
+                    for ext in (".json", "_trace.csv")]
+TRANSFER_RESULTS_SHA256 = "396a8f00a30cfcd1d6742016b263ecaf05673caa584e425f9e5eb46307bf5a0a"
 
 
 @pytest.mark.parametrize("doc", ["README.md", "docs/measeq.1.md"])
@@ -1183,6 +1188,10 @@ def test_documented_examples_run(tmp_path, monkeypatch, capsys, doc):
         assert done.returncode == 0, done.stderr
     digest = hashlib.sha256((tmp_path / "results" / "density_survey.json").read_bytes())
     assert digest.hexdigest() == DENSITY_SURVEY_SHA256
+    digest = hashlib.sha256()
+    for name in TRANSFER_RESULTS:
+        digest.update((tmp_path / "results" / name).read_bytes())
+    assert digest.hexdigest() == TRANSFER_RESULTS_SHA256
 
 
 def _man_page_entries():

@@ -3,7 +3,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -481,51 +481,85 @@ covers = st.lists(
 ).map(APSet)
 
 
-def construction(pairs):
+# residues and moduli on both sides of the valid range and of every int64 edge
+apset_pairs = st.lists(
+    st.tuples(st.one_of(st.integers(-2, 60), st.integers(-2, 2**71)),
+              st.sampled_from([*range(-1, 13), 30, 40320, 2**61 - 1, 2**63 - 1, 2**63,
+                               2**64 + 1, 2**70])),
+    max_size=12,
+)
+
+
+def construction(build, pairs):
+    """The progressions a build gives, or the text of its ValueError."""
     try:
-        return "returned", APSet(pairs).progressions
+        return "returned", build(pairs)
     except ValueError as e:
         return "raised", str(e)
 
 
-class TestAPSetFromArray:
-    # residues and moduli on both sides of the valid range, repeats and one modulus near 2**61
-    @example(pairs=[(5, 2**61 - 1), (2**61, 2**61 - 1), (0, 3), (3, 3)])
-    @example(pairs=[(1, 2), (-1, 0)])
-    @given(st.lists(st.tuples(st.integers(-2, 60), st.sampled_from([*range(-1, 13), 30, 40320])),
-                    max_size=12))
-    @settings(max_examples=300)
-    def test_matches_pair_list(self, pairs):
+def check_apset_construction(pairs, other, N):
+    """APSet(pairs) holds the oracle's progressions in its arrays, of one dtype; when
+    the pairs fit int64, their int64 array builds the same set."""
+    want = construction(oracles.apset_oracle, pairs)
+    assert construction(lambda p: APSet(p).progressions, pairs) == want
+    fits = all(-(2**63) <= v < 2**63 for pair in pairs for v in pair)
+    if fits:
         array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        assert construction(array) == construction(pairs)
+        assert construction(lambda p: APSet(p).progressions, array) == want
+    if want[0] == "raised":
+        return
+    progs = want[1]
+    s = APSet(pairs)
+    r, m = s.arrays
+    assert not (r.flags.writeable or m.flags.writeable)
+    assert r.dtype == m.dtype == (np.int64 if all(q < 2**63 for _, q in progs) else object)
+    assert tuple(zip(r.tolist(), m.tolist())) == progs and len(s) == len(progs)
+    ns = range(-N, N + 1)
+    assert [n in s for n in ns] == [any(n % q == a for a, q in progs) for n in ns]
+    assert s.mask(N).tolist() == [n in s for n in range(1, N + 1)]
+    meets = any((b - a) % gcd(q, p) == 0 for a, q in progs for b, p in other.progressions)
+    assert s.intersects(other) == other.intersects(s) == meets
+    if fits:
+        by_array = APSet(array)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(by_array.arrays, s.arrays))
+        assert by_array == s and s == by_array
+        assert hash(by_array) == hash(s) and len(by_array) == len(s)
+        assert np.array_equal(by_array.mask(N), s.mask(N))
+        assert [n in by_array for n in ns] == [n in s for n in ns]
+        assert by_array.intersects(other) == s.intersects(other)
+        assert other.intersects(by_array) == other.intersects(s)
 
 
-    @example(pairs=[(5, 2**61 - 1), (2**61 - 2, 2**61 - 1), (0, 3), (3, 3)], other=APSet([(2, 3)]),
-             N=40, read_first=False)
-    @given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from([*range(1, 13), 30, 40320])),
-                    max_size=12),
-           aps, st.integers(1, 200), st.booleans())
+class TestAPSetConstruction:
+    @example(pairs=[(5, 2**61 - 1), (2**61, 2**61 - 1), (0, 3), (3, 3)], other=APSet([(2, 3)]),
+             N=40)
+    @example(pairs=[(1, 2), (-1, 0)], other=APSet([(0, 1)]), N=5)
+    @example(pairs=[(2**70 + 3, 3), (-2, 2**63 - 1)], other=APSet([(0, 1)]), N=5)
+    @example(pairs=[(2**70 + 3, 3), (2**63 + 1, 2**63 - 1)], other=APSet([(2, 3)]), N=9)
+    @example(pairs=[(0, 2**63), (2**70 + 3, 3), (2**63, 2**63 - 1), (1, 2**70)],
+             other=APSet([(1, 2)]), N=20)
+    @given(apset_pairs, aps, st.integers(1, 200))
     @settings(max_examples=300)
-    def test_agrees_with_pair_built(self, pairs, other, N, read_first):
-        by_pairs = APSet(pairs)
-        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    def test_matches_oracle(self, pairs, other, N):
+        check_apset_construction(pairs, other, N)
 
-        def by_array():
-            # a fresh set for each check, so that no check runs on a tuple an earlier one built
-            s = APSet(array)
-            if read_first:
-                s.progressions
-            return s
+    @pytest.mark.parametrize("pairs", [[(1.5, 2)], np.array([[1.5, 2]]), [("a", 2)]],
+                             ids=["float pair", "float array", "str residue"])
+    def test_non_integer_is_refused(self, pairs):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            APSet(pairs)
 
-        assert by_array().progressions == by_pairs.progressions
-        assert by_array() == by_pairs and by_pairs == by_array()
-        assert hash(by_array()) == hash(by_pairs)
-        assert len(by_array()) == len(by_pairs)
-        assert all(np.array_equal(a, b) for a, b in zip(by_array().arrays, by_pairs.arrays))
-        assert np.array_equal(by_array().mask(N), by_pairs.mask(N))
-        assert by_array().intersects(other) == by_pairs.intersects(other)
-        assert other.intersects(by_array()) == other.intersects(by_pairs)
-        assert [n in by_array() for n in range(1, N + 1)] == [n in by_pairs for n in range(1, N + 1)]
+    def test_modulus_past_int64_reads_back(self):
+        r, m = APSet([(0, 2**63)]).arrays
+        assert r.dtype == m.dtype == object
+        assert (r.tolist(), m.tolist()) == ([0], [2**63])
+
+    def test_small_integer_array_is_read_as_int64(self):
+        r, m = APSet(np.array([[3, 2]], dtype=np.int8)).arrays
+        assert r.dtype == m.dtype == np.int64
+        assert (r.tolist(), m.tolist()) == ([1], [2])
 
 
 class TestVerifyCover:
