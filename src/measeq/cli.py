@@ -532,6 +532,13 @@ def _family(c):
     return ex.vdc_family(c.bases) if c.primes is None else ex.vdc_family_primes(c.primes)
 
 
+def _deviation(eps: float) -> float:
+    """A weak-law eps: a deviation of size 0 or less would count every point."""
+    if not eps > 0:
+        raise ConfigError(f"bad --config key eps: need a number > 0, got {eps!r}")
+    return eps
+
+
 def _experiment(help: str, header: str | None, keys: tuple[Param, ...], run: Callable) -> Verb:
     """An `exp` verb taking a config object with `keys`; `run(config, cfg)`
     gives an ExperimentReport, whose trace rows are the series under `header`."""
@@ -621,7 +628,7 @@ _COMMANDS: dict[str, tuple[str, dict[str | None, Verb]]] = {
         ), lambda c, cfg: ex.clt_experiment(_family(c), N=c.n, tolerance=c.tolerance)),
         "weaklaw": _experiment("weak-law transfer", "k,observed,bound", (
             *_FAMILY,
-            Param("eps", (float,), "deviation size", default=0.2),
+            Param("eps", (float,), "deviation size", default=0.2, convert=_deviation),
             Param("k_grid", (list,), "averaging sizes", default=[1, 5, 10], items=int, least=1,
                   min_items=1),
             _N,

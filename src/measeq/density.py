@@ -64,8 +64,9 @@ class APSet:
     The set stores one form, the read-only `arrays` (residues, moduli):
     normalized to 0 <= r < m, deduplicated and sorted by (r, m).  Their dtype
     is int64 when every modulus fits it, and object (Python ints) otherwise.
-    A k x 2 signed-integer array is read as int64; any other input is read
-    pair by pair through `operator.index`, so a non-integer raises TypeError.
+    A k x 2 signed-integer array is read as int64, and a signed-integer array
+    of any other shape raises ValueError; any other input is read pair by pair
+    through `operator.index`, so a non-integer raises TypeError.
     `progressions`, the same pairs as a tuple, is built when first read.
     `mask(N)` gives membership of n = 1..N, while `n in s` takes any integer.
     Instances are immutable.
@@ -73,9 +74,12 @@ class APSet:
 
     def __init__(self, progressions: Iterable[tuple[int, int]] | np.ndarray):
         pairs = progressions
-        if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i"):
+        if isinstance(pairs, np.ndarray) and pairs.dtype.kind == "i":
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise ValueError(f"need a k x 2 array of (r, m) pairs, got shape {pairs.shape}")
+        else:
             pairs = [(operator.index(r), operator.index(m)) for r, m in pairs]
-        r, m = _ints(pairs).reshape(-1, 2).T
+        r, m = _ints(pairs).reshape(-1, 2).T  # the reshape gives [] its k = 0 shape
         bad = np.flatnonzero((m < 1) | (r < 0))
         if bad.size:  # the first bad pair in input order, its modulus checked first
             i = bad[0]

@@ -467,8 +467,7 @@ def _all_pairs(x, y, p, q) -> tuple[np.ndarray, np.ndarray]:
     """
     j2 = y.size
     sums = np.add.outer(x, y).ravel()
-    index = np.int32 if sums.size <= np.iinfo(np.int32).max else np.int64
-    order = np.argsort(sums, kind="stable").astype(index, copy=False)
+    order = np.argsort(sums, kind="stable").astype(np.int32)  # MAX_ATOMS < 2**31 pairs
     sums.sort()
     new = _starts(sums)
     bp = sums[new]

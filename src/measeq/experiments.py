@@ -284,6 +284,8 @@ def weak_law_experiment(
     """Observed large-deviation frequency of k-member averages against the
     dispersion bound D^2 / (k eps^2), for each k in the grid; each passes
     within a slack of 2/N."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     if max(k_grid) > len(family):
         raise GateError(f"grid asks for {max(k_grid)} members, family has {len(family)}")
     windows = [h.window(N) for h in family]

@@ -363,6 +363,14 @@ class TestExitCodes:
             f"config error: bad --cells: need at least 1, got {cells}"
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps, shown", [("0", "0.0"), ("-0.2", "-0.2"), ("NaN", "nan")])
+    def test_nonpositive_weaklaw_eps_is_config_error(self, capsys, eps, shown):
+        assert main(["exp", "weaklaw", "--config", f'{{"primes":12,"eps":{eps}}}']) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: bad --config key eps: need a number > 0, got {shown}"
+        ]
+
     @pytest.mark.parametrize("k", ["0", "9", "12", "x", "2.5", ""])
     def test_factorial_ladder_out_of_range_is_config_error(self, capsys, k):
         assert main(["density", "--pred", "squares", "--ladder", f"factorial:{k}"]) == 2

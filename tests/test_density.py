@@ -395,6 +395,25 @@ def straggler_paths(mask, ladder, threshold):
     return paths
 
 
+def check_narrow_fold(mask, ladder, threshold, width):
+    """With FOLD_WIDTH shrunk to `width`, so that windows of up to 3000 span many
+    rows with ragged heads and tails, the measurability check and the per-level
+    covers match their oracles."""
+    pred, N = mask_predicate(mask), mask.size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "FOLD_WIDTH", width)
+        got = (outcome(buck_upper_per_level, pred, ladder, N, threshold),
+               outcome(buck_measurability_check, pred, ladder, N, threshold))
+    want = (outcome(oracles.buck_upper_per_level_oracle, pred, ladder, N, threshold),
+            outcome(oracles.buck_measurability_oracle, pred, ladder, N, threshold))
+    assert got[1] == want[1]
+    if got[1][0] == "raised":  # no usable level, which the per-level oracle does not check
+        assert got[0] == got[1]
+        return
+    assert [(c.level, c.cover, c.cost) for c in got[0][1]] == [
+        (c.level, c.cover, c.cost) for c in want[0][1]]
+
+
 class TestStragglerGrouping:
     # stale hits 1, 8, 15 share singleton 1 mod 7 from classes 1, 2, 0 mod 3:
     # the cover holds 1+(7) once, the cost 3/7 counts it in each class
@@ -434,21 +453,7 @@ class TestStragglerGrouping:
     @given(window_masks, straggler_ladders, st.integers(1, 4), st.integers(1, 300))
     @settings(max_examples=300, deadline=None)
     def test_narrow_fold_matches_oracles(self, mask, ladder, threshold, width):
-        # FOLD_WIDTH shrunk, so that windows of up to 3000 span many rows, with ragged
-        # heads and tails
-        pred, N = mask_predicate(mask), mask.size
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(density, "FOLD_WIDTH", width)
-            got = (outcome(buck_upper_per_level, pred, ladder, N, threshold),
-                   outcome(buck_measurability_check, pred, ladder, N, threshold))
-        want = (outcome(oracles.buck_upper_per_level_oracle, pred, ladder, N, threshold),
-                outcome(oracles.buck_measurability_oracle, pred, ladder, N, threshold))
-        assert got[1] == want[1]
-        if got[1][0] == "raised":  # no usable level, which the per-level oracle does not check
-            assert got[0] == got[1]
-            return
-        assert [(c.level, c.cover, c.cost) for c in got[0][1]] == [
-            (c.level, c.cover, c.cost) for c in want[0][1]]
+        check_narrow_fold(mask, ladder, threshold, width)
 
 
 class TestScanMemory:
@@ -550,6 +555,12 @@ class TestAPSetConstruction:
     def test_non_integer_is_refused(self, pairs):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             APSet(pairs)
+
+    @pytest.mark.parametrize("array", [np.array([[1, 2, 3], [4, 5, 6]]), np.array([1, 2, 3, 4])],
+                             ids=["2 x 3", "flat"])
+    def test_array_not_k_by_2_is_refused(self, array):
+        with pytest.raises(ValueError, match=r"^need a k x 2 array of \(r, m\) pairs, got shape"):
+            APSet(array)
 
     def test_modulus_past_int64_reads_back(self):
         r, m = APSet([(0, 2**63)]).arrays

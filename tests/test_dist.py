@@ -110,6 +110,14 @@ def conv_factor_pairs(draw, max_atoms=40):
     return factor(0), factor(1)
 
 
+def check_conv_bits(factors):
+    """convolve_edf gives the bits of the np.unique oracle, atoms and cumulative."""
+    bp, cum = oracles.convolve_unique_oracle(*factors)
+    got = convolve_edf(*factors)
+    assert got.breakpoints.tobytes() == bp.tobytes()
+    assert got.cum.tobytes() == cum.tobytes()
+
+
 class TestEdf:
     def test_constant_single_jump(self):
         F = edf(SequenceWindow([0.7] * 9))
@@ -542,6 +550,10 @@ class TestConvolution:
         with pytest.raises(CapacityError, match=r"^3000 x 3000 atoms exceed the cap 4000000$"):
             convolve_edf(F, F)
 
+    def test_atom_cap_fits_an_int32_pair_index(self):
+        # the all-pairs path keeps its sorted order of pair indices as int32
+        assert dist.MAX_ATOMS < 2**31
+
     @pytest.mark.parametrize("a, b", [(np.inf, -np.inf), (-np.inf, np.inf)])
     def test_opposite_infinite_atoms_are_a_domain_error(self, a, b):
         with pytest.raises(DomainError, match="no sum"):
@@ -624,11 +636,7 @@ class TestConvolution:
     @settings(max_examples=300, deadline=None)
     @given(conv_factor_pairs())
     def test_drawn_factors_give_the_unique_oracles_bits(self, factors):
-        F, G = factors
-        bp, cum = oracles.convolve_unique_oracle(F, G)
-        got = convolve_edf(F, G)
-        assert got.breakpoints.tobytes() == bp.tobytes()
-        assert got.cum.tobytes() == cum.tobytes()
+        check_conv_bits(factors)
 
     @pytest.mark.parametrize("path", [
         "all pairs", "buckets", "no finite spread", "spread overflows", "scale overflows",

@@ -175,6 +175,11 @@ class TestWeakLaw:
         with pytest.raises(GateError):
             weak_law_experiment(vdc_family_primes(3), eps=0.2, k_grid=[5])
 
+    @pytest.mark.parametrize("eps", [0.0, -0.2, float("nan")])
+    def test_nonpositive_eps_is_refused(self, eps):
+        with pytest.raises(ValueError, match="^eps must be positive"):
+            weak_law_experiment(vdc_family_primes(3), eps=eps, k_grid=[1])
+
     def test_never_reports_nonsense(self):
         rep = weak_law_experiment(vdc_family_primes(5), eps=0.05, k_grid=[1, 2, 5])
         for _, observed, bound in rep.trace:
