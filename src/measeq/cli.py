@@ -29,7 +29,7 @@ from . import experiments as ex
 from . import polyadic as po
 from . import seqgen as sg
 from .csvtext import csv_text
-from .errors import ConfigError, DomainError, MeaseqError
+from .errors import ConfigError, DomainError, MeaseqError, SpecificationError
 
 
 def _exact(q: Fraction) -> str:
@@ -60,7 +60,7 @@ def _reading(what: str, spec):
     into one ConfigError naming `spec`."""
     try:
         yield
-    except (ValueError, OverflowError, OSError) as e:
+    except (ValueError, OverflowError, OSError, SpecificationError) as e:
         raise ConfigError(f"bad {what} {spec!r}: {e}") from e
 
 
@@ -272,15 +272,24 @@ _CHAIN_CAPS = {"levels": 1100, "factorial": 200}
 
 
 def _chain(c) -> sg.BaseChain:
-    """A vdc chain: its `moduli` if given, else `factorial` levels, else geometric."""
+    """A vdc chain of one form: its `moduli`, `factorial` levels, or the
+    geometric chain of `levels` levels (default 1) with `ratio` (default 2)."""
     for key, cap in _CHAIN_CAPS.items():
         if (size := getattr(c, key)) is not None and size > cap:
             raise ConfigError(f"bad vdc chain {key}: need at most {cap}, got {size}")
+    forms = [form for form, given in (("moduli", c.moduli is not None),
+                                      ("factorial", c.factorial is not None),
+                                      ("ratio/levels", (c.ratio, c.levels) != (None, None)))
+             if given]
+    if len(forms) > 1:
+        raise ConfigError("bad vdc chain: need one of moduli, factorial and ratio/levels, "
+                          f"got {' and '.join(forms)}")
     if c.moduli is not None:
         return sg.BaseChain(tuple(c.moduli))
     if c.factorial is not None:
         return sg.BaseChain.factorial(c.factorial)
-    return sg.BaseChain.geometric(c.ratio, c.levels)
+    return sg.BaseChain.geometric(2 if c.ratio is None else c.ratio,
+                                  1 if c.levels is None else c.levels)
 
 
 _AP_KEYS = (Param("r", (int,), "residue", required=True, least=0),
@@ -289,8 +298,8 @@ _SEQUENCE_KINDS = {
     "vdc": ((Param("chain", (dict,), "base chain", default={}, convert=_chain, keys=(
         Param("moduli", (list,), "chain moduli", items=int),
         Param("factorial", (int,), "factorial chain levels"),
-        Param("ratio", (int,), "geometric chain ratio", default=2, least=2),
-        Param("levels", (int,), "geometric chain levels", default=1),
+        Param("ratio", (int,), "geometric chain ratio", least=2),
+        Param("levels", (int,), "geometric chain levels"),
     )),), lambda s: sg.VdcSequence(s.chain)),
     # prime keys are decimal strings, as JSON object keys must be strings
     "additive": ((
@@ -304,7 +313,7 @@ _SEQUENCE_KINDS = {
                lambda s: sg.SimpleSpec([(de.APSet.single(p.r, p.m), p.c) for p in s.parts])),
     "periodic": ((Param("values", (list,), "one period", required=True, items=float),),
                  lambda s: sg.PeriodicTable(s.values)),
-    "uniform": ((Param("n", (int,), "grid points i/n", default=1000),),
+    "uniform": ((Param("n", (int,), "grid points i/n", default=1000, least=1),),
                 lambda s: sg.PeriodicTable([i / s.n for i in range(s.n)])),
 }
 

@@ -30,6 +30,14 @@ from measeq.errors import ConfigError, MeaseqError
 from measeq.polyadic import polyadic_distance
 from measeq.seqgen import PeriodicTable
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _src_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this checkout's measeq."""
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
 
 def run_json(capsys, argv):
     status = main(argv)
@@ -46,15 +54,14 @@ class TestGen:
         assert out["report"]["n"] == 8
         assert out["config"]["command"] == "gen"
 
-    def test_vdc_csv(self, capsys):
-        status = main(
-            ["--format", "csv", "gen", "--spec", '{"kind":"vdc"}', "--n", "4"]
-        )
-        assert status == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "n,value"
-        assert lines[1] == "1,0.5"
-        assert [float(l.split(",")[1]) for l in lines[1:]] == [0.5, 0.25, 0.75, 0.125]
+    @pytest.mark.parametrize("spec, text", [
+        ('{"kind":"vdc"}', "n,value\n1,0.5\n2,0.25\n3,0.75\n4,0.125\n"),
+        ('{"kind":"vdc","chain":{"ratio":3}}', "n,value\n1,0.3333333333333333\n"
+         "2,0.6666666666666666\n3,0.1111111111111111\n4,0.4444444444444444\n"),
+    ], ids=["ratio 2", "ratio 3"])
+    def test_vdc_csv(self, capsys, spec, text):
+        assert main(["--format", "csv", "gen", "--spec", spec, "--n", "4"]) == 0
+        assert capsys.readouterr().out == text
 
     def test_additive_spec(self, capsys):
         spec = '{"kind":"additive","primes":{"2":0.25,"3":0.2,"5":0.1,"7":0.01},"tail":1e-9}'
@@ -173,10 +180,15 @@ class TestDist:
         )
         assert out["report"]["passed"] is True
 
-    def test_conv_uniform_pair(self, capsys):
+    # sums equal as real numbers may round to different floats and stay apart:
+    # at n=2000 the 3999 exact sums i/n make 7216 atoms
+    @pytest.mark.parametrize("flags, atoms", [([], 3526), (["--n", "2000"], 7216)])
+    def test_conv_uniform_pair(self, capsys, flags, atoms):
         status, out = run_json(
-            capsys, ["dist", "conv", "--uniform", "--uniform", "--eval", "1.0"]
+            capsys, ["dist", "conv", "--uniform", "--uniform", *flags, "--eval", "1.0"]
         )
+        assert status == 0
+        assert out["report"]["atoms"] == atoms
         assert out["report"]["values"]["1.0"] == pytest.approx(0.5, abs=5e-3)
 
     def test_edf_csv_schema(self, capsys):
@@ -340,16 +352,57 @@ class TestExitCodes:
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        # one BLAS thread, so that its buffers fit under the cap on any core count
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
         argv = [sys.executable, "-m", "measeq.cli", "gen", "--spec",
                 '{"kind":"vdc","chain":{"ratio":1000000000}}', "--n", "1000000000"]
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=cap,
-                              timeout=120)
+        # one BLAS thread, so that its buffers fit under the cap on any core count
+        done = subprocess.run(argv, env=_src_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                              text=True, preexec_fn=cap, timeout=120)
         assert done.returncode == 1
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("run refused: out of memory: Unable to allocate")
+
+    @pytest.mark.parametrize("argv, atoms, bound_mb", [
+        # coprime bases: all 1520 x 1520 pair sums are distinct atoms
+        (["dist", "conv", "--seq", '{"kind":"vdc","chain":{"ratio":3,"levels":2}}', "--seq2",
+          '{"kind":"vdc","chain":{"ratio":7,"levels":3}}', "--n", "1520"], 2_310_400, 130),
+        # a 305,000-row CSV written beside the report
+        (["--out", "g.json", "gen", "--spec", '{"kind":"vdc","chain":{"ratio":10,"levels":6}}',
+          "--n", "305000"], None, 64),
+    ])
+    def test_peak_rss(self, tmp_path, argv, atoms, bound_mb):
+        # the child reads the high-water mark of its own address space: its
+        # ru_maxrss would start from the RSS of this process, which Linux keeps
+        # from the forked copy across execve
+        code = """if True:
+            import sys
+            from measeq.cli import main
+            status = main(sys.argv[1:])
+            with open("/proc/self/status") as f:
+                print(next(line for line in f if line.startswith("VmHWM:")), file=sys.stderr)
+            sys.exit(status)
+        """
+        done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        if atoms is not None:
+            assert json.loads(done.stdout)["report"]["atoms"] == atoms
+        peak = int(done.stderr.split()[1]) / 1024
+        assert peak < bound_mb, f"{argv} peaks at {peak:.0f} MB of RSS"
+
+    @pytest.mark.parametrize("argv", [
+        # density ladders that are not divisibility chains: coprime, unnested, decreasing
+        ["density", "--pred", "squares", "--ladder", "7,11,13", "--window", "100000"],
+        ["density", "--pred", "primes", "--ladder", "4,6,8", "--window", "5000"],
+        ["density", "--pred", "blocks", "--ladder", "12,6,3,2,1", "--window", "5000"],
+        ["dist", "indep", "--kind", "functional", "--seq", '{"kind":"vdc"}',
+         "--seq2", '{"kind":"vdc","chain":{"ratio":3}}', "--n", "100000"],
+        ["exp", "sss", "--config", '{"primes":3,"g":["x","x^2","1-x"]}'],
+        ["exp", "weaklaw", "--config", '{"primes":7,"n":20000,"k_grid":[1,7],"eps":0.2}'],
+        ["--seed", "3", "exp", "metric-ud", "--config", '{"primes":60,"n_alphas":8}'],
+    ])
+    def test_run_exits_zero(self, capsys, argv):
+        status, _ = run_json(capsys, argv)
+        assert status == 0
 
     def test_unknown_pred_is_config_error(self, capsys):
         assert main(["density", "--pred", "cubes"]) == 2
@@ -508,6 +561,9 @@ class TestExitCodes:
         (["density", "--pred", json.dumps({"ap": [{"r": 0, "m": p} for p in
           (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]})],
          "inclusion-exclusion exceeded 200000 terms"),
+        # a family that repeats a base fails the independence gate on that pair
+        (["exp", "clt", "--config", '{"bases":[2,3,2],"n":5000}'],
+         "members 0 and 2 fail the independence gate (0.09032 > 0.02)"),
     ])
     def test_refusal_is_one_line_and_no_report(self, tmp_path, monkeypatch, capsys, argv, message):
         # an AP union past the term limit is refused before the density survey
@@ -628,10 +684,31 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    @pytest.mark.parametrize("spec, message", [
+        # values that the spec constructors refuse
+        ('{"kind":"additive","primes":{"2":-0.5}}', "bad sequence spec "
+         "{'kind': 'additive', 'primes': {'2': -0.5}}: f(2) = -0.5 is negative"),
+        ('{"kind":"simple","parts":[{"r":0,"m":2,"c":1},{"r":0,"m":4,"c":2}]}',
+         "bad sequence spec {'kind': 'simple', 'parts': [{'r': 0, 'm': 2, 'c': 1}, "
+         "{'r': 0, 'm': 4, 'c': 2}]}: parts overlap: ((0, 2),) meets ((0, 4),)"),
+        ('{"kind":"uniform","n":0}', "bad uniform sequence spec key n: need at least 1, got 0"),
+        # a vdc chain takes one form
+        ('{"kind":"vdc","chain":{"moduli":[1,3,9],"ratio":2}}',
+         "bad vdc chain: need one of moduli, factorial and ratio/levels, "
+         "got moduli and ratio/levels"),
+        ('{"kind":"vdc","chain":{"factorial":4,"levels":3}}',
+         "bad vdc chain: need one of moduli, factorial and ratio/levels, "
+         "got factorial and ratio/levels"),
+    ])
+    def test_rejected_spec_is_config_error(self, capsys, spec, message):
+        assert main(["gen", "--spec", spec, "--n", "3"]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
     @pytest.mark.parametrize("key, status, out, err", [
         (2**61 - 1, 0, "n,value\n1,0.0\n2,0.5\n3,0.2\n", ""),
-        ((2**31 - 1) * (2**31 + 11), 1, "",
-         "run refused: 4611686039902224373 is not prime\n"),
+        ((2**31 - 1) * (2**31 + 11), 2, "", "config error: bad sequence spec {'kind': "
+         "'additive', 'primes': {'2': 0.5, '3': 0.2, '4611686039902224373': 0.25}}: "
+         "4611686039902224373 is not prime\n"),
         (10**25 + 13, 2, "", "config error: bad sequence spec {'kind': 'additive', 'primes': "
          "{'2': 0.5, '3': 0.2, '10000000000000000000000013': 0.25}}: cannot decide whether "
          "10000000000000000000000013 is prime: need n < 3317044064679887385961981\n"),
@@ -1141,9 +1218,6 @@ class TestFuzz:
         assert len(err) == 1 and err[0].startswith("config error: "), (argv, err)
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
 def _examples(doc):
     """The `measeq ...` lines of the README CLI block or the man page EXAMPLES."""
     text = (ROOT / doc).read_text()
@@ -1188,10 +1262,8 @@ def test_documented_examples_run(tmp_path, monkeypatch, capsys, doc):
         ["python", "scripts/run_transfer_experiments.py"],
         ["python", "scripts/density_survey.py"],
     ]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     for _, script, *args in scripts:
-        done = subprocess.run([sys.executable, str(ROOT / script), *args], env=env,
+        done = subprocess.run([sys.executable, str(ROOT / script), *args], env=_src_env(),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
     digest = hashlib.sha256((tmp_path / "results" / "density_survey.json").read_bytes())
