@@ -196,13 +196,30 @@ def _window_values(v, window_N: int | None, ladder: Sequence[int]) -> np.ndarray
     return _finite(vals, "class spreads")
 
 
+def _class_fold(op, vals: np.ndarray, m: int, pad: float) -> np.ndarray:
+    """op over each class n mod m, value n at vals[n - 1].
+
+    Value n goes at flat position n of a (rows, m) grid padded with pad, so into
+    column n mod m; then the rows are halved in place, each step contiguous.
+    """
+    rows = vals.size // m + 1
+    grid = np.empty(rows * m)
+    grid[0] = grid[vals.size + 1 :] = pad
+    grid[1 : vals.size + 1] = vals
+    a = grid.reshape(rows, m)
+    while rows > 1:
+        half = rows // 2
+        if rows % 2:
+            op(a[0], a[rows - 1], out=a[0])
+        op(a[:half], a[half : 2 * half], out=a[:half])
+        rows = half
+    return a[0]
+
+
 def _class_spreads(vals: np.ndarray, m: int) -> np.ndarray:
-    idx = np.arange(1, vals.size + 1, dtype=np.int64) % m
-    mn = np.full(m, np.inf)
-    mx = np.full(m, -np.inf)
-    np.minimum.at(mn, idx, vals)
-    np.maximum.at(mx, idx, vals)
-    return mx - mn
+    """Max minus min of each class n mod m; the values are finite, so a padding
+    infinity never wins."""
+    return _class_fold(np.maximum, vals, m, -np.inf) - _class_fold(np.minimum, vals, m, np.inf)
 
 
 def p_continuity_profile(

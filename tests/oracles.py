@@ -6,8 +6,9 @@ paths that vectorized kernels replaced, kept as they were: the set-and-sort
 construction of an `APSet`, the per-class straggler loop of
 `buck_upper_per_level`, the mask-form cover check, the measurability check
 that materializes the complement's hits, the per-breakpoint EDF series, the
-per-row CSV formatter, the per-key primality check of an additive spec and
-the per-(member, point) `extend_eval` loop of the metric experiment.
+per-row CSV formatter, the per-key primality check of an additive spec, the
+per-(member, point) `extend_eval` loop of the metric experiment, the one-pass
+Kolmogorov distance and the scatter (`ufunc.at`) class spreads.
 """
 
 import math
@@ -377,3 +378,23 @@ def metric_ud_trace_oracle(family, n_alphas, seed, N_terms, h_max, eval_eps):
             float(np.abs(np.exp(2j * np.pi * h * vals).mean())) for h in range(1, h_max + 1)
         ))
     return tuple(trace)
+
+
+def kolmogorov_distance_oracle(values, cdf):
+    # the one-pass path: cdf at every sorted point
+    x = np.sort(np.asarray(values, dtype=float))
+    n = x.size
+    c = np.asarray(cdf(x), dtype=float)
+    below = np.abs(c - np.arange(n) / n).max()
+    above = np.abs(c - np.arange(1, n + 1) / n).max()
+    return float(max(below, above))
+
+
+def class_spreads_oracle(vals, m):
+    # the scatter path: ufunc.at over n mod m, value n at vals[n - 1]
+    idx = np.arange(1, vals.size + 1, dtype=np.int64) % m
+    mn = np.full(m, np.inf)
+    mx = np.full(m, -np.inf)
+    np.minimum.at(mn, idx, vals)
+    np.maximum.at(mx, idx, vals)
+    return mx - mn

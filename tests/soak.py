@@ -23,6 +23,8 @@ from test_density import (
     straggler_ladders,
 )
 from test_dist import check_conv_bits, conv_factor_pairs
+from test_experiments import check_kolmogorov, ks_samples
+from test_polyadic import check_class_spreads, class_spread_cases
 
 # every soak: no example database, no deadline, no health checks
 SOAK = settings(deadline=None, database=None, suppress_health_check=list(HealthCheck))
@@ -68,3 +70,12 @@ def test_density_covers(mask, ladder, threshold):
 @given(apset_pairs, aps, st.integers(1, 200))
 def test_apset_construction(pairs, other, N):
     check_apset_construction(pairs, other, N)
+
+
+# the two transfer-gate kernels against their one-pass and scatter oracles
+@seed(20261023)
+@settings(SOAK, max_examples=2500)
+@given(ks_samples(), class_spread_cases())
+def test_transfer_gate_kernels(sample, case):
+    check_kolmogorov(sample)
+    check_class_spreads(*case)

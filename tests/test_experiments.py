@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,7 +21,9 @@ from measeq.errors import (
     ResolutionError,
 )
 from measeq.experiments import (
+    _PHI_DELTA,
     _RESIDUE_GROUP,
+    _normal_cdf_bracket,
     _member_residues,
     _pairwise_independence_gate,
     clt_experiment,
@@ -43,6 +45,34 @@ from measeq.seqgen import BaseChain, PeriodicTable, SequenceWindow, VdcSequence
 
 def vdc_window(base, N):
     return VdcSequence(BaseChain.geometric(base, 1)).window(N)
+
+
+# sample points for the normal-law Kolmogorov distance: lattice values k/8 (ties), any
+# float out to where the CDF rounds to 0 or 1 (|x| > 8.3) and past, and +-inf
+_ks_points = st.one_of(
+    st.integers(-80, 80).map(lambda k: k / 8),
+    st.floats(-50, 50),
+    st.sampled_from([np.inf, -np.inf]),
+)
+
+
+@st.composite
+def ks_samples(draw):
+    """A sample of 1 to 200 points, at times mirrored (so that two points hold the
+    sup to the last bit or so) and at times with a NaN."""
+    x = np.array(draw(st.lists(_ks_points, min_size=1, max_size=200)))
+    if draw(st.booleans()):
+        x = np.concatenate((x, -x))
+    if draw(st.integers(0, 9)) == 0:
+        x[draw(st.integers(0, x.size - 1))] = np.nan
+    return x
+
+
+def check_kolmogorov(x):
+    """The distance to the normal law has the bits of the one-pass oracle."""
+    got = np.float64(kolmogorov_distance(x, normal_cdf))
+    want = np.float64(oracles.kolmogorov_distance_oracle(x, normal_cdf))
+    assert got.tobytes() == want.tobytes(), (got, want)
 
 
 class TestNivenGate:
@@ -378,6 +408,37 @@ class TestKolmogorovHelper:
             got = normal_cdf(x)
             assert type(got) is float
             assert got == 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
+
+    @given(ks_samples())
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([0.3]))
+    @example(np.array([0.75, -0.75]))  # two points hold the sup, one ulp apart
+    @example(np.array([9.0, -np.inf]))
+    @example(np.array([np.inf, -np.inf, np.nan]))
+    def test_normal_law_matches_the_oracle(self, x):
+        check_kolmogorov(x)
+
+    def test_normal_law_at_every_size(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 1000, 100_000):
+            check_kolmogorov(rng.normal(size=n))
+            check_kolmogorov(rng.integers(-24, 25, n) / 8)
+
+    @pytest.mark.parametrize("x, want", [([np.nan], math.nan), ([0.0, np.nan], math.nan),
+                                         ([np.inf], 1.0), ([-np.inf, np.inf], 0.5)])
+    def test_nonfinite_points(self, x, want):
+        got = kolmogorov_distance(x, normal_cdf)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_bracket_is_within_delta(self):
+        xs = np.linspace(-40.0, 40.0, 1_000_001)
+        assert np.abs(_normal_cdf_bracket(xs) - normal_cdf(xs)).max() <= _PHI_DELTA
+        assert np.isnan(_normal_cdf_bracket(np.array([np.nan]))).all()
+
+    @pytest.mark.parametrize("cdf", [normal_cdf, lambda t: np.clip(t, 0, 1)])
+    def test_empty_sample_is_refused(self, cdf):
+        with pytest.raises(ValueError, match="^Kolmogorov distance of an empty sample$"):
+            kolmogorov_distance([], cdf)
 
     def test_normal_cdf_accuracy(self):
         # reference values accurate to 1e-12 (Abramowitz-Stegun style checks)

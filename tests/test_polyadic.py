@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from measeq import polyadic
 from measeq.density import APSet, FACTORIAL_LADDER, ap_union_density
 from measeq.errors import (
     ContinuityBudgetError,
@@ -53,6 +55,29 @@ def series_tail_oracle(a: int, b: int, terms: int = 64) -> Fraction:
 
 def indicator(apset: APSet) -> SimpleSpec:
     return SimpleSpec([(apset, 1.0)])
+
+
+@st.composite
+def class_spread_cases(draw):
+    """Finite windows of 2 to 3000 values (spread, lattice with ties, or huge) and a
+    modulus 1 <= m <= N/2, often 1, 2 or 6; the grid's row count N // m + 1 is odd or even."""
+    N = draw(st.integers(2, 3000))
+    m = draw(st.sampled_from([1, 2, 6]).filter(lambda m: 2 * m <= N) | st.integers(1, N // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "lattice", "huge"]))
+    if kind == "normal":
+        vals = rng.normal(size=N)
+    elif kind == "lattice":
+        vals = rng.integers(-4, 5, N) / 8
+    else:
+        vals = rng.uniform(-1.0, 1.0, N) * 1e307
+    return vals, m
+
+
+def check_class_spreads(vals, m):
+    """Class spreads have the bits of the scatter oracle."""
+    want = oracles.class_spreads_oracle(vals, m)
+    assert polyadic._class_spreads(vals, m).tobytes() == want.tobytes()
 
 
 class TestDyadicRational:
@@ -167,6 +192,50 @@ class TestContinuityProfile:
         v = VdcSequence(BaseChain.geometric(2, 8))
         with pytest.raises(DiagnosticError):
             p_continuity_profile(v, [0.5], ladder=[1, 1024], window_N=100)
+
+
+class TestClassSpreads:
+    @given(class_spread_cases())
+    @settings(max_examples=200, deadline=None)
+    @example((np.arange(4.0), 1))  # 5 rows
+    @example((np.arange(5.0), 1))  # 6 rows
+    @example((np.arange(12.0)[::-1], 6))  # 3 rows
+    @example((np.arange(17.0) % 3, 2))  # 9 rows
+    @example((np.arange(13.0) % 4, 2))  # 7 rows
+    def test_matches_the_scatter_oracle(self, case):
+        check_class_spreads(*case)
+
+    def test_every_factorial_level(self):
+        vals = np.random.default_rng(3).normal(size=2 * FACTORIAL_LADDER[-1])
+        for m in FACTORIAL_LADDER:
+            check_class_spreads(vals, m)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            VdcSequence(BaseChain.factorial(8)),
+            VdcSequence(BaseChain.geometric(2, 16)),
+            CallableSequence(lambda n: 1.0 / n),
+            indicator(APSet.single(1, 7)),
+        ],
+        ids=["vdc factorial", "vdc base 2", "harmonic", "indicator"],
+    )
+    def test_profiles_match_the_scatter_path(self, seq, monkeypatch):
+        window = seq.window(2 * FACTORIAL_LADDER[-1])
+
+        def profiles():
+            out = [repr(p_continuity_profile(window, [0.5, 0.1, 1e-3, 1e-6], FACTORIAL_LADDER))]
+            for eps, delta in ((0.5, 0.1), (0.1, 0.01), (1e-3, 1e-3)):
+                try:
+                    exc = weak_continuity_profile(window, eps, delta, FACTORIAL_LADDER)
+                    out.append((exc.aps.progressions, exc.mu_upper, exc.modulus))
+                except ContinuityBudgetError as e:
+                    out.append((e.best_level, e.best_fraction))
+            return out
+
+        got = profiles()
+        monkeypatch.setattr(polyadic, "_class_spreads", oracles.class_spreads_oracle)
+        assert got == profiles()
 
 
 class TestWeakContinuity:
