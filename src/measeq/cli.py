@@ -314,7 +314,7 @@ _SEQUENCE_KINDS = {
     "periodic": ((Param("values", (list,), "one period", required=True, items=float),),
                  lambda s: sg.PeriodicTable(s.values)),
     "uniform": ((Param("n", (int,), "grid points i/n", default=1000, least=1),),
-                lambda s: sg.PeriodicTable([i / s.n for i in range(s.n)])),
+                lambda s: sg.PeriodicTable(np.arange(s.n) / s.n)),
 }
 
 
@@ -416,7 +416,7 @@ def _run_gen(v, cfg):
         "mean": mean,
         "bounds": list(w.bounds),
     }
-    return report, ("n,value", [range(1, len(w) + 1), w.values])
+    return report, ("n,value", [np.arange(1, len(w) + 1), w.values])
 
 
 def _run_density(v, cfg):

@@ -4,9 +4,10 @@ shortest column.
 A float cell is `repr(float)`, an int cell its decimal digits and any other
 cell (a label, a tuple) `str` of itself, which is one `%s` per cell
 (`str(float) == repr(float)`).  When every column is a 1-d float64 or integer
-ndarray or a `range`, numpy writes the rows, `_CSV_BLOCK` at a time, with the
-same bytes: each block is one uint8 buffer of fixed-width slots whose zero
-bytes are dropped.  Any other series is one `%s` join over all its rows.
+ndarray, numpy writes the rows, `_CSV_BLOCK` at a time, with the same bytes:
+each block is one uint8 buffer of fixed-width slots whose zero bytes are
+dropped.  Any other series, one with a `range` column too, is one `%s` join
+over all its rows; no column is converted to an array.
 
 Float cells without `repr`.  A float v with 1e-4 <= |v| < 1 whose significand
 m (v = m 2**e2, 2**52 <= m < 2**53) is not a power of two is written "0.",
@@ -135,20 +136,10 @@ def _int_width(x: np.ndarray) -> int:
 
 
 def _numeric(column) -> bool:
-    """Whether numpy writes this column: a 1-d float64 or integer ndarray, or
-    a range whose start, step and values are int64."""
-    if isinstance(column, range):
-        ends = (column.start, column.step, column[-1]) if column else ()
-        return all(-(2**63) <= e < 2**63 for e in ends)
+    """Whether numpy writes this column: a 1-d float64 or integer ndarray."""
     return isinstance(column, np.ndarray) and column.ndim == 1 and (
         column.dtype == np.float64 or column.dtype.kind in "iu"
     )
-
-
-def _array(column) -> np.ndarray:
-    if isinstance(column, range):  # int64 wraparound cancels: every value fits
-        return np.arange(len(column), dtype=np.int64) * column.step + column.start
-    return column
 
 
 def _block_bytes(columns: list[np.ndarray]) -> bytes:
@@ -174,7 +165,7 @@ def csv_text(series) -> str:
             cells[i::k] = column[:n]
         return f"{header}\n" + (",".join(["%s"] * k) + "\n") * n % tuple(cells)
     blocks = [
-        _block_bytes([_array(c[a : min(a + _CSV_BLOCK, n)]) for c in columns])
+        _block_bytes([c[a : min(a + _CSV_BLOCK, n)] for c in columns])
         for a in range(0, n, _CSV_BLOCK)
     ]
     return f"{header}\n" + b"".join(blocks).decode("ascii")

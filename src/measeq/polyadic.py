@@ -217,9 +217,10 @@ def _class_fold(op, vals: np.ndarray, m: int, pad: float) -> np.ndarray:
 
 
 def _class_spreads(vals: np.ndarray, m: int) -> np.ndarray:
-    """Max minus min of each class n mod m; the values are finite, so a padding
-    infinity never wins."""
-    return _class_fold(np.maximum, vals, m, -np.inf) - _class_fold(np.minimum, vals, m, np.inf)
+    """Max minus min of each class n mod m (inf past the largest double); the
+    values are finite, so a padding infinity never wins."""
+    with np.errstate(over="ignore"):
+        return _class_fold(np.maximum, vals, m, -np.inf) - _class_fold(np.minimum, vals, m, np.inf)
 
 
 def p_continuity_profile(

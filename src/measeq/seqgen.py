@@ -175,11 +175,6 @@ def _prime_flags(keys: list[int]):
     return itertools.chain(map(is_prime, keys[:lo]), sieved, map(is_prime, keys[hi:]))
 
 
-class _SievedPairs(tuple):
-    """(prime, float value) pairs over all primes up to a bound, ascending, as
-    a sieve gives them: the keys need neither sorting nor a primality check."""
-
-
 @dataclass(frozen=True)
 class AdditiveFunctionSpec:
     """The additive function f(n) = sum of f(p) over the distinct primes p
@@ -189,21 +184,19 @@ class AdditiveFunctionSpec:
     Prime powers are flattened (f(p^k) = f(p)), so a value on each prime
     determines the whole additive function.  Stored nonzero values must be
     pairwise distinct; zeros may repeat (double underflow of a fast-decaying
-    rule is unavoidable at desk scale).
+    rule is unavoidable at desk scale).  The one stored form is `prime_values`,
+    (prime, float) pairs by increasing prime, built by the one checked
+    constructor, which `from_function` calls too.
     """
 
     prime_values: tuple[tuple[int, float], ...]
     tail_bound: float
 
     def __init__(self, prime_values, tail_bound: float):
-        if isinstance(prime_values, _SievedPairs):
-            pairs, flags = tuple(prime_values), itertools.repeat(True)
-        else:
-            items = prime_values.items() if isinstance(prime_values, Mapping) else prime_values
-            pairs = tuple(sorted((int(p), float(v)) for p, v in items))
-            flags = _prime_flags([p for p, _ in pairs])
+        items = prime_values.items() if isinstance(prime_values, Mapping) else prime_values
+        pairs = tuple(sorted((int(p), float(v)) for p, v in items))
         seen_nonzero = set()
-        for (p, v), prime in zip(pairs, flags):
+        for (p, v), prime in zip(pairs, _prime_flags([p for p, _ in pairs])):
             if not prime:
                 raise SpecificationError(f"{p} is not prime")
             if not v >= 0:
@@ -220,7 +213,6 @@ class AdditiveFunctionSpec:
             raise SpecificationError("tail bound must be >= 0")
         object.__setattr__(self, "prime_values", pairs)
         object.__setattr__(self, "tail_bound", float(tail_bound))
-        object.__setattr__(self, "_map", dict(pairs))
 
     @classmethod
     def from_function(
@@ -230,13 +222,19 @@ class AdditiveFunctionSpec:
         if tail_bound is None:
             # crude geometric majorant: assume fn decays at least like fn(pmax)
             tail_bound = max(2.0 * fn(pmax + 1) if fn(pmax + 1) > 0 else 0.0, 0.0)
-        return cls(_SievedPairs(zip(ps, [float(fn(p)) for p in ps])), tail_bound)
+        return cls(zip(ps, [float(fn(p)) for p in ps]), tail_bound)
+
+    def _stored(self, p: int) -> float | None:
+        """The value stored for p, None when there is none."""
+        i = bisect_left(self.prime_values, (p,))
+        if i < len(self.prime_values) and self.prime_values[i][0] == p:
+            return self.prime_values[i][1]
+        return None
 
     def value(self, p: int) -> float:
-        try:
-            return self._map[p]
-        except KeyError:
-            raise SpecificationError(f"no value stored for prime {p}") from None
+        if (v := self._stored(p)) is None:
+            raise SpecificationError(f"no value stored for prime {p}")
+        return v
 
     def tail_above(self, N: int) -> float:
         """Upper bound on the sum of f(p) over primes p > N."""
@@ -263,9 +261,10 @@ class AdditiveFunctionSpec:
                 while rest % p == 0:
                     rest //= p
         # rest is now 1, a stored prime, or has a prime factor with no value
-        if rest > 1 and rest not in self._map:
+        last = 0 if rest == 1 else self._stored(rest)
+        if last is None:
             raise SpecificationError(f"f({n}): no value stored for a prime factor of {rest}")
-        return float(total + self._map.get(rest, 0))
+        return float(total + last)
 
     def window(self, N: int) -> "SequenceWindow":
         return gen_additive(N, self)
@@ -354,26 +353,27 @@ def gen_simple(N: int, spec: SimpleSpec) -> "SequenceWindow":
 
 
 class PeriodicTable:
-    """An explicitly tabulated periodic sequence."""
+    """An explicitly tabulated periodic sequence v(n) = values[n mod period];
+    `values` is one read-only, nonempty 1-d float64 array, free of NaN."""
 
-    def __init__(self, values: Iterable[float]):
-        self.values = tuple(float(v) for v in values)
-        if not self.values:
-            raise ValueError("period table must be nonempty")
-        if any(isnan(v) for v in self.values):
+    def __init__(self, values: Sequence[float] | np.ndarray):
+        vals = np.array(values, dtype=float)
+        if vals.ndim != 1 or not vals.size:
+            raise ValueError("period table must be nonempty and 1-d")
+        if np.isnan(vals).any():
             raise ValueError("period table values must not be NaN")
+        vals.setflags(write=False)
+        self.values = vals
 
     @property
     def period(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     def eval(self, n: int) -> float:
-        return self.values[n % self.period]
+        return float(self.values[n % self.period])
 
     def window(self, N: int) -> "SequenceWindow":
-        reps = -(-N // self.period) + 1
-        vals = np.tile(np.array(self.values), reps)[1 : N + 1]
-        return SequenceWindow(vals)
+        return SequenceWindow(np.resize(self.values, N + 1)[1:])
 
     def witness(self, eps: float) -> int | None:
         return self.period

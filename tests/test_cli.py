@@ -9,6 +9,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -79,6 +80,22 @@ class TestGen:
         assert np.array_equal(*window)
         geometric = cli.parse_sequence_spec({"kind": "vdc", "chain": {"levels": 1100}})
         assert geometric.window(4).values.tolist() == [0.5, 0.25, 0.75, 0.125]
+
+    def test_uniform_spec_holds_one_array(self):
+        # the period is n floats, 8n bytes: no list of n Python floats on the way
+        tracemalloc.start()
+        try:
+            w = cli.parse_sequence_spec({"kind": "uniform", "n": 2_000_000}).window(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.values.tolist() == [1 / 2_000_000, 2 / 2_000_000, 3 / 2_000_000]
+        assert peak < 48 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 1000, 99_991])
+    def test_uniform_spec_values_are_i_over_n(self, n):
+        table = cli.parse_sequence_spec({"kind": "uniform", "n": n})
+        assert table.values.tolist() == [i / n for i in range(n)]
 
     def test_large_ratio_stores_no_level_past_2_to_1075(self, capsys):
         # 10**600 is the first modulus past 2**1075; the 1,098 levels above it
@@ -360,6 +377,21 @@ class TestExitCodes:
         assert done.returncode == 1
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("run refused: out of memory: Unable to allocate")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["polyadic", "profile", "--seq", '{"kind":"periodic","values":[1e308,-1e308,0.5]}',
+          "--ladder", "1,2,3"], "report.class_ranges.1 is inf"),
+        (["exp", "resample", "--config", '{"seq":{"kind":"periodic","values":[1e308,-1e308,0.5]},'
+          '"indices":{"n":1000}}'], "report.statistics.tolerance is inf"),
+    ])
+    def test_overflowing_class_spread_is_one_refusal_line(self, argv, message):
+        # the spread 1e308 - -1e308 is inf; numpy's overflow warning would be a
+        # traceback here, and two more stderr lines without -W
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "measeq.cli",
+                               *argv], env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            f"run refused: {message}: a JSON report holds no NaN or Infinity"]
 
     @pytest.mark.parametrize("argv, atoms, bound_mb", [
         # coprime bases: all 1520 x 1520 pair sums are distinct atoms

@@ -134,8 +134,6 @@ class TestVdc:
             id="additive"),
         pytest.param(SimpleSpec([(APSet.single(1, 3), 0.5), (APSet.single(0, 6), -2.0)]),
                      id="simple"),
-        pytest.param(PeriodicTable([0.25, 1.0, -3.0]), id="periodic"),
-        pytest.param(PeriodicTable([i / 7 for i in range(7)]), id="uniform"),
         pytest.param(CallableSequence(lambda n: n % 5 / 5), id="callable"),
     ])
     def test_window_matches_pointwise_eval(self, handle):
@@ -378,14 +376,41 @@ class TestAdditive:
         with pytest.raises(SpecificationError, match=r"^spec is missing prime 3 <= 20$"):
             gen_additive(20, spec)
 
-    def test_from_function_sieves_once(self):
-        sieve = mock.Mock(wraps=primes.prime_mask)
-        with mock.patch.object(primes, "prime_mask", sieve), \
-                mock.patch.object(seqgen, "prime_mask", sieve):
-            spec = AdditiveFunctionSpec.from_function(lambda p: 2.0**-p, 1000)
-        assert [c.args for c in sieve.call_args_list] == [(1000,)]
+    def test_from_function_matches_the_constructor(self):
+        spec = AdditiveFunctionSpec.from_function(lambda p: 2.0**-p, 1000)
         assert spec == AdditiveFunctionSpec({p: 2.0**-p for p, _ in spec.prime_values},
                                             spec.tail_bound)
+
+    @pytest.mark.parametrize("n", [
+        0, 1, 2, 3, 5, 7, 11, 2**5, 3**4, 7**3, 4, 12, 60, 77, 2 * 3 * 13, 5 * 17, 17, 17**2,
+        2**64 + 13, 2 * (2**64 + 13), 2**64 + 37, 3 * (2**64 + 37),
+    ])
+    def test_value_and_eval_match_a_dict_oracle(self, n):
+        # 2**64 + 13 is a stored prime past 2**63; the unstored primes 13, 17 and
+        # 2**64 + 37 leave cofactors past 11 and past the last stored prime
+        stored = {2: 0.5, 3: 0.25, 5: 0.125, 7: 0.0625, 11: 0.03125, 2**64 + 13: 1e-3}
+        spec = AdditiveFunctionSpec(stored, 0.5)
+        for p in (*stored, 13, 17, 2**64 + 37, 1, 0):
+            if p in stored:
+                assert spec.value(p) == stored[p]
+            else:
+                with pytest.raises(SpecificationError, match=f"^no value stored for prime {p}$"):
+                    spec.value(p)
+        if n == 0:
+            assert spec.eval(0) == sum(stored.values()) + 0.5
+            return
+        factors = [p for p in stored if n % p == 0]
+        rest = n
+        for p in factors:
+            while rest % p == 0:
+                rest //= p
+        if rest > 1:
+            with pytest.raises(SpecificationError, match=rf"^f\({n}\): no value stored "):
+                spec.eval(n)
+        else:
+            got = spec.eval(n)
+            assert type(got) is float
+            assert got.hex() == float(sum(stored[p] for p in sorted(factors))).hex()
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 0.25, 1e-9, -0.1, float("nan"), 3]),
                     min_size=1, max_size=15))
@@ -515,6 +540,41 @@ class TestSimple:
         exact = 0.5 * Fraction(1, 3) + (-1.0) * Fraction(1, 6)
         slack = (0.5 + 1.0) / N  # one progression per part, off-by-one counts
         assert abs(w.values.mean() - float(exact)) <= slack
+
+
+class TestPeriodicTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.floats(allow_nan=False),
+                           st.sampled_from([-0.0, math.inf, -math.inf])),
+                 min_size=1, max_size=60),
+        st.data(),
+    )
+    def test_window_matches_pointwise_eval(self, values, data):
+        table = PeriodicTable(values)
+        period = len(values)
+        N = data.draw(st.one_of(st.integers(1, period), st.just(period),
+                                st.integers(period, 50 * period + 7)))
+        assert table.period == period
+        assert isinstance(table.values, np.ndarray)
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[0] = 1.0
+        got = table.window(N).values
+        want = np.array([table.eval(n) for n in range(1, N + 1)])
+        assert got.tobytes() == want.tobytes()
+        assert want.tobytes() == np.array([values[n % period] for n in range(1, N + 1)]).tobytes()
+        assert all(type(table.eval(n)) is float for n in (0, period, 10**30 + 1))
+        assert table.eval(10**30 + 1) == values[(10**30 + 1) % period]
+
+    @pytest.mark.parametrize("values, message", [
+        ([], "period table must be nonempty and 1-d"),
+        ([[0.5, 1.0], [0.25, 0.0]], "period table must be nonempty and 1-d"),
+        (np.zeros((1, 3)), "period table must be nonempty and 1-d"),
+        ([0.5, float("nan")], "period table values must not be NaN"),
+    ])
+    def test_bad_tables_are_value_errors(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PeriodicTable(values)
 
 
 class TestWindowOps:

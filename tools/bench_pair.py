@@ -13,9 +13,13 @@ and the temporary copies are removed at the end.
 
 The file holds every run's result line, and per workload and end-to-end
 metric each side's median and quartiles, plus the number of pairs the change
-won (ties count for neither side).  It also records both commits (sha and the
-tree of `src/`), python, numpy, the core count, the platform, the seeds and
-the run length, which is always `run_seconds` of BENCHMARK.json.
+won (ties count for neither side); per workload it also holds each side's
+`failed` job runs, summed over the seeds.  It also records both commits (sha
+and the tree of `src/`), python, numpy, the core count, the platform, the
+seeds and the run length, which is always `run_seconds` of BENCHMARK.json.
+
+A run whose result reads `correct: false` ends the pairing at once, with exit
+1 and a one-line message naming it: no record is written from wrong outputs.
 """
 
 from __future__ import annotations
@@ -60,23 +64,32 @@ def run_bench(root: Path, command: list[str], workload: str, seed: int, seconds:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def checked(run: dict) -> dict:
+    """run, or exit 1 with a one-line message when its outputs are wrong."""
+    if not run["result"]["correct"]:
+        raise SystemExit(f"error: {run['workload']} seed {run['seed']} {run['side']} reads "
+                         "correct: false; no record written")
+    return run
+
+
 def quartiles(xs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
     return {"median": median, "q1": q1, "q3": q3}
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: each side's median and quartiles, and the pairs the change won."""
+    """Per workload: each side's failed job runs, and per metric each side's
+    median and quartiles and the pairs the change won."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
         for r in runs:
             if r["workload"] == workload:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
-        rows = {}
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        rows = {"failed": {s: sum(p[s]["failed"] for p in pairs.values()) for s in SIDES}}
         for m in metrics:
             name, sign = m["name"], 1 if m["better"] == "lower" else -1
-            values = {s: [p[s][name]["value"] for p in pairs.values()] for s in SIDES}
+            values = {s: [p[s]["metrics"][name]["value"] for p in pairs.values()] for s in SIDES}
             rows[name] = {
                 "unit": m["unit"],
                 "better": m["better"],
@@ -112,8 +125,8 @@ def main(argv=None) -> int:
             for k, seed in enumerate(SEEDS):
                 for order, side in enumerate(SIDES if k % 2 == 0 else SIDES[::-1]):
                     result = run_bench(roots[side], declared["command"], workload, seed, seconds)
-                    runs.append({"workload": workload, "seed": seed, "side": side, "order": order,
-                                 "result": result})
+                    runs.append(checked({"workload": workload, "seed": seed, "side": side,
+                                         "order": order, "result": result}))
                     wall = result["metrics"]["wall_s"]["value"]
                     print(f"{workload} seed {seed} {side}: wall_s {wall:.4f} correct "
                           f"{result['correct']} failed {result['failed']}", file=sys.stderr)
